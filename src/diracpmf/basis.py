@@ -125,11 +125,15 @@ def sign_column(index_mask: int, length: int) -> np.ndarray:
 
 
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
-    """Vector of phi_S(x) over all subset masks S in mask order, for fixed x."""
+    """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
+
+    float64, the dtype of the coefficients it is multiplied with, so no
+    2^L cast runs per query.
+    """
     full = (1 << length) - 1
     complement = np.uint64(~pattern_word & full)
     zeros = np.bitwise_count(_mask_range(length) & complement)
-    return 1 - 2 * (zeros & 1).astype(np.int64)
+    return 1.0 - 2.0 * (zeros & 1)
 
 
 def orthogonality_sum(

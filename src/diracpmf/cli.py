@@ -31,6 +31,10 @@ LEMMA_EXHAUSTIVE_CAP = 12
 BENCH_EXPANSION_CAP = 20
 #: Timing repetitions per benchmark cell (medians reported).
 BENCH_REPETITIONS = 7
+#: Queries per timed chunk; the methods take turns chunk by chunk.
+BENCH_CHUNK_QUERIES = 100
+#: Least untimed warm-up per benchmark cell, in seconds.
+BENCH_WARMUP_S = 0.2
 
 
 def _emit(payload: Any, pretty: bool) -> None:
@@ -181,28 +185,47 @@ def _bench_one_length(
         "notes": notes,
     }
 
-    values: dict[str, list[float]] = {}
+    # Warm up for one full round and at least BENCH_WARMUP_S, excluded from
+    # the medians. Transients left by earlier work must die down first: for
+    # about 0.1 s after a matrix product an OpenBLAS worker keeps spinning,
+    # and on a 2-vCPU host that made the expansion queries here up to 2x
+    # slower while the dirac lookups barely slowed.
+    warm_until = time.perf_counter() + BENCH_WARMUP_S
+    while True:
+        for method in methods:
+            estimate = PmfEstimate.fit(dataset, method)
+            for pattern in query_patterns:
+                estimate(pattern)
+        if time.perf_counter() >= warm_until:
+            break
+    # The methods' timed queries interleave in chunks, so a slow spell on a
+    # shared host lands on every method of one chunk rather than on one
+    # method's whole series, and the per-chunk ratios cancel it.
+    chunks = [
+        query_patterns[start:start + BENCH_CHUNK_QUERIES]
+        for start in range(0, queries, BENCH_CHUNK_QUERIES)
+    ]
+    build_times: dict[str, list[float]] = {method: [] for method in methods}
+    query_times: dict[str, list[float]] = {method: [] for method in methods}
+    for _ in range(BENCH_REPETITIONS):
+        estimates = {}
+        for method in methods:
+            start = time.perf_counter()
+            estimates[method] = PmfEstimate.fit(dataset, method)
+            build_times[method].append(time.perf_counter() - start)
+        values: dict[str, list[float]] = {method: [] for method in methods}
+        for chunk in chunks:
+            for method in methods:
+                estimate = estimates[method]
+                start = time.perf_counter()
+                results = [estimate(pattern) for pattern in chunk]
+                query_times[method].append((time.perf_counter() - start) / len(chunk))
+                values[method] += results
     timing: dict[str, dict[str, float]] = {}
     for method in methods:
-        # one full warm-up round, excluded from the medians
-        estimate = PmfEstimate.fit(dataset, method)
-        for pattern in query_patterns:
-            estimate(pattern)
-        build_times: list[float] = []
-        query_times: list[float] = []
-        results: list[float] = []
-        for _ in range(BENCH_REPETITIONS):
-            start = time.perf_counter()
-            estimate = PmfEstimate.fit(dataset, method)
-            build_times.append(time.perf_counter() - start)
-            if queries:
-                start = time.perf_counter()
-                results = [estimate(pattern) for pattern in query_patterns]
-                query_times.append((time.perf_counter() - start) / queries)
-        values[method] = results
-        timing[method] = {"build_s": statistics.median(build_times)}
+        timing[method] = {"build_s": statistics.median(build_times[method])}
         if queries:
-            timing[method]["per_query_s"] = statistics.median(query_times)
+            timing[method]["per_query_s"] = statistics.median(query_times[method])
 
     agreement = True
     if queries:
@@ -216,8 +239,9 @@ def _bench_one_length(
         report["agreement"] = True
     report["methods"] = timing
     if queries and "expansion" in timing and "dirac" in timing:
-        report["speedup_expansion_over_dirac"] = (
-            timing["expansion"]["per_query_s"] / timing["dirac"]["per_query_s"]
+        report["speedup_expansion_over_dirac"] = statistics.median(
+            expansion / dirac
+            for expansion, dirac in zip(query_times["expansion"], query_times["dirac"])
         )
     return report, agreement
 

@@ -15,6 +15,7 @@ from diracpmf import (
     orthogonality_sum,
     signed_value,
 )
+from diracpmf.basis import sign_row
 
 
 def product_oracle(index: BasisIndex, pattern: BitPattern) -> int:
@@ -143,3 +144,11 @@ class TestOrthogonality:
             orthogonality_sum(BasisIndex(0, 2), BasisIndex(0, 3))
         with pytest.raises(CapExceeded):
             orthogonality_sum(BasisIndex(0, 30), BasisIndex(0, 30))
+
+
+def test_sign_row_matches_coefficient_dtype():
+    # A float64 row keeps the expansion query a float.float dot.
+    row = sign_row(0b0110, 4)
+    assert row.dtype.name == "float64"
+    assert list(row) == [eval_basis(BasisIndex(mask, 4), BitPattern.from_word(0b0110, 4))
+                         for mask in range(16)]

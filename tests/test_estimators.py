@@ -295,3 +295,10 @@ class TestGramMatrix:
         expected[:2, :2] = 1
         expected[2, 2] = expected[3, 3] = 1
         assert np.array_equal(gram, expected)
+
+    def test_input_order(self):
+        lines = ["11", "00", "11", "01", "00"]
+        dataset = load_dataset(lines)
+        expected = np.array([[float(a == b) for b in lines] for a in lines])
+        for method in ("dirac", "sum"):
+            assert np.array_equal(gram_matrix(dataset, method), expected)
