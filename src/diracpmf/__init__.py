@@ -3,9 +3,11 @@
 Three interchangeable estimation paths (basis expansion, Dirac-kernel
 counting, fast transform) plus the sign-product basis, the combinatorial
 lemma tying them together, and a CLI front-end.
+
+Importing the package loads no numpy, which the counting path never
+needs; the names of the numpy-backed .reference module load it on first use.
 """
 from .basis import (
-    EXHAUSTIVE_CAP,
     BasisIndex,
     BasisTable,
     enumerate_basis,
@@ -13,6 +15,7 @@ from .basis import (
     orthogonality_sum,
 )
 from .bitspace import (
+    EXHAUSTIVE_CAP,
     BitPattern,
     Dataset,
     all_patterns,
@@ -41,20 +44,25 @@ from .errors import (
     RaggedLengths,
     RangeError,
 )
-from .estimators import (
-    EQUIVALENCE_TOL,
-    PmfEstimate,
-    Spectrum,
-    estimate_coefficients,
-    estimate_dirac,
-    estimate_expansion,
-    estimate_fwht,
-    fast_transform,
-    frequency_vector,
-    gram_matrix,
-    kernel_dirac,
-    kernel_sum,
-)
+from .estimators import EQUIVALENCE_TOL, PmfEstimate, estimate_dirac, kernel_dirac
+
+#: Names served by the numpy-backed .reference module, imported on first use.
+_REFERENCE_NAMES = frozenset({
+    "Spectrum", "estimate_coefficients", "estimate_expansion", "estimate_fwht",
+    "fast_transform", "frequency_vector", "gram_matrix", "kernel_sum",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name in _REFERENCE_NAMES:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _REFERENCE_NAMES)
+
 
 __version__ = "0.1.0"
 

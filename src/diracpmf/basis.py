@@ -3,28 +3,24 @@
 Basis function phi_S multiplies the terms (2*x_l - 1) for the coordinates
 l in a subset S of {1..L}; the empty subset gives phi_0 = 1. The subset is
 encoded as an L-bit mask (bit l-1 set iff coordinate l participates), and
-the mask doubles as the basis index.
+the mask doubles as the basis index. The sign vectors import numpy on
+first use, so the rest of the module loads without it.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
-import numpy as np
+from .bitspace import EXHAUSTIVE_CAP, BitPattern, check_cap
+from .errors import LengthMismatch, LengthOutOfRange
 
-from .bitspace import BitPattern
-from .errors import CapExceeded, LengthMismatch, LengthOutOfRange
+if TYPE_CHECKING:
+    import numpy as np
 
-#: Largest L for which 2^L enumerations are run by default.
-EXHAUSTIVE_CAP = 24
-
-
-def check_cap(length: int, cap: int = EXHAUSTIVE_CAP) -> None:
-    if length < 1:
-        raise LengthOutOfRange(f"length {length} must be >= 1")
-    if length > cap:
-        raise CapExceeded(f"L={length} exceeds the exhaustive cap {cap}")
+#: Mask ranges up to this L (2^16 uint64 entries, 512 KiB) stay cached;
+#: longer ones are built per call, so no cache pins a large array.
+MASK_CACHE_MAX_LENGTH = 16
+_MASK_RANGES: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -110,15 +106,21 @@ def eval_basis(index: BasisIndex, pattern: BitPattern) -> int:
     return -1 if zeros_in_subset.bit_count() & 1 else 1
 
 
-@functools.lru_cache(maxsize=32)
 def _mask_range(length: int) -> np.ndarray:
-    masks = np.arange(1 << length, dtype=np.uint64)
-    masks.setflags(write=False)
+    """The masks 0..2^L-1 as a read-only uint64 array."""
+    masks = _MASK_RANGES.get(length)
+    if masks is None:
+        import numpy as np
+        masks = np.arange(1 << length, dtype=np.uint64)
+        masks.setflags(write=False)
+        if length <= MASK_CACHE_MAX_LENGTH:
+            _MASK_RANGES[length] = masks
     return masks
 
 
 def sign_column(index_mask: int, length: int) -> np.ndarray:
     """Vector of phi_S(x) over all x in word order, for the subset mask S."""
+    import numpy as np
     full = (1 << length) - 1
     zeros = np.bitwise_count(np.uint64(index_mask) & ~_mask_range(length) & np.uint64(full))
     return 1 - 2 * (zeros & 1).astype(np.int64)
@@ -130,6 +132,7 @@ def sign_row(pattern_word: int, length: int) -> np.ndarray:
     float64, the dtype of the coefficients it is multiplied with, so no
     2^L cast runs per query.
     """
+    import numpy as np
     full = (1 << length) - 1
     complement = np.uint64(~pattern_word & full)
     zeros = np.bitwise_count(_mask_range(length) & complement)
@@ -143,4 +146,5 @@ def orthogonality_sum(
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
     check_cap(i.length, cap)
+    import numpy as np
     return int(np.dot(sign_column(i.mask, i.length), sign_column(k.mask, k.length)))

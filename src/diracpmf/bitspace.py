@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    CapExceeded,
     EmptyDataset,
     EmptyInput,
     IllegalCharacter,
@@ -26,6 +27,8 @@ from .errors import (
 )
 
 MAX_LENGTH = 64
+#: Largest L for which 2^L enumerations are run by default.
+EXHAUSTIVE_CAP = 24
 
 #: Deletes the digits, so a pattern of digits alone translates to "".
 _DROP_DIGITS = str.maketrans("", "", "01")
@@ -36,6 +39,13 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 def _check_length(length: int) -> None:
     if not 1 <= length <= MAX_LENGTH:
         raise LengthOutOfRange(f"pattern length {length} outside 1..{MAX_LENGTH}")
+
+
+def check_cap(length: int, cap: int = EXHAUSTIVE_CAP) -> None:
+    if length < 1:
+        raise LengthOutOfRange(f"length {length} must be >= 1")
+    if length > cap:
+        raise CapExceeded(f"L={length} exceeds the exhaustive cap {cap}")
 
 
 def _check_word(word: int, length: int) -> None:

@@ -10,18 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import statistics
+import re
 import sys
 import time
 from typing import Any, Sequence
 
-import numpy as np
-
 from .basis import check_cap, enumerate_basis, sign_column
-from .bitspace import BitPattern, dataset_from_words, load_dataset, parse_pattern
+from .bitspace import BitPattern, Dataset, dataset_from_words, load_dataset, parse_pattern
 from .combinatorics import SignAssignment, lemma1_sum
-from .errors import CapExceeded, DiracPmfError
-from .estimators import EQUIVALENCE_TOL, PmfEstimate, estimate_coefficients
+from .errors import DiracPmfError
+from .estimators import EQUIVALENCE_TOL, PmfEstimate
 
 #: Full pairwise orthogonality checking walks 4^L pairs; 12 keeps it desk-scale.
 ORTHOGONALITY_CAP = 12
@@ -44,9 +42,25 @@ def _emit(payload: Any, pretty: bool) -> None:
         print(json.dumps(payload))
 
 
+def _load(path: str) -> Dataset:
+    """Read a dataset file; a byte that is not UTF-8 is reported by line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return load_dataset(handle)
+    except UnicodeDecodeError as exc:
+        # The decoder reads ahead in chunks, so exc names no line. Read again
+        # with bad bytes escaped to lone surrogates, which UTF-8 never yields.
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                if escaped := re.search("[\udc80-\udcff]", line):
+                    byte = ord(escaped[0]) - 0xDC00
+                    message = f"line {line_number}: byte {byte:#04x} is not UTF-8"
+                    raise DiracPmfError(message) from exc
+        raise
+
+
 def cmd_estimate(args: argparse.Namespace) -> int:
-    with open(args.input, encoding="utf-8") as handle:
-        dataset = load_dataset(handle)
+    dataset = _load(args.input)
     query = parse_pattern(args.query, expected_length=dataset.length)
     estimate = PmfEstimate.fit(dataset, args.method)
     _emit(
@@ -63,8 +77,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    with open(args.input, encoding="utf-8") as handle:
-        dataset = load_dataset(handle)
+    from .reference import estimate_coefficients
+    dataset = _load(args.input)
     spectrum = estimate_coefficients(dataset)
     entries = [
         {"mask": mask, "order": int(mask).bit_count(), "alpha": float(alpha)}
@@ -100,6 +114,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
     # Full pairwise orthogonality: stack all sign vectors and check that
     # the Gram matrix is 2^L on the diagonal and 0 elsewhere.
+    import numpy as np
     check_cap(length, ORTHOGONALITY_CAP)
     size = 1 << length
     signs = np.empty((size, size), dtype=np.float64)
@@ -163,6 +178,7 @@ def _bench_one_length(
     length: int, samples: int, queries: int, seed: int
 ) -> tuple[dict[str, Any], bool]:
     """Run one benchmark cell; returns (report, agreement)."""
+    import statistics
     rng = random.Random(seed * 1000003 + length)
     dataset = dataset_from_words(
         [rng.getrandbits(length) for _ in range(samples)], length
@@ -247,7 +263,12 @@ def _bench_one_length(
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    lengths = [int(part) for part in str(args.length).split(",") if part.strip()]
+    try:
+        lengths = [int(part) for part in str(args.length).split(",") if part.strip()]
+    except ValueError:
+        raise DiracPmfError(
+            f"--length must be comma-separated integers, got {args.length!r}"
+        ) from None
     if not lengths:
         raise DiracPmfError("--length must list at least one L")
     reports = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .basis import EXHAUSTIVE_CAP, check_cap
+from .bitspace import EXHAUSTIVE_CAP, check_cap
 from .errors import RangeError
 
 MAX_BINOMIAL_N = 60

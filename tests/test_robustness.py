@@ -1,0 +1,51 @@
+import random
+
+import pytest
+
+from diracpmf import BasisIndex, BitPattern, basis, eval_basis
+from diracpmf.basis import sign_row
+from diracpmf.cli import main
+
+
+@pytest.mark.parametrize(
+    "command", [["estimate", "--query", "01"], ["spectrum"]], ids=["estimate", "spectrum"]
+)
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xff01\n11\n", 1),
+        # Far past the decoder's first read-ahead chunk.
+        (b"01\n" * 5000 + b"1\xe90\n", 5001),
+        # A lone CR ends a line in text mode, as load_dataset counts lines.
+        (b"01\r01\r1\xff\r", 3),
+    ],
+    ids=["first-byte", "past-first-chunk", "cr-line-ends"],
+)
+def test_non_utf8_byte_exits_one_naming_its_line(capsys, tmp_path, command, data, line):
+    path = tmp_path / "data.txt"
+    path.write_bytes(data)
+    code = main([command[0], "--input", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"error: DiracPmfError: line {line}: byte 0x" in captured.err
+    assert "not UTF-8" in captured.err
+
+
+def test_bench_length_not_integers_exits_one(capsys):
+    code = main(["bench", "--length", "abc"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--length must be comma-separated integers" in captured.err
+
+
+def test_mask_range_cache_holds_no_large_array():
+    sign_row(0, 12)
+    row = sign_row(0b1011, 20)
+    assert all(masks.size <= 1 << 16 for masks in basis._MASK_RANGES.values())
+    assert 12 in basis._MASK_RANGES
+    pattern = BitPattern.from_word(0b1011, 20)
+    rng = random.Random(5)
+    for mask in [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(50)]:
+        assert row[mask] == eval_basis(BasisIndex(mask, 20), pattern)
