@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Literal
 
-from .bitspace import EXHAUSTIVE_CAP, BitPattern, check_cap
+from .bitspace import EXHAUSTIVE_CAP, BitPattern, check_cap  # EXHAUSTIVE_CAP: re-exported
 from .errors import LengthMismatch, LengthOutOfRange
 
 if TYPE_CHECKING:
@@ -75,15 +75,13 @@ class BasisTable:
 Ordering = Literal["canonical", "by_cardinality"]
 
 
-def enumerate_basis(
-    length: int, ordering: Ordering = "canonical", cap: int = EXHAUSTIVE_CAP
-) -> BasisTable:
+def enumerate_basis(length: int, ordering: Ordering = "canonical") -> BasisTable:
     """List all 2^L subsets, either in mask order or grouped by order.
 
     The by_cardinality view lists all order-0 entries, then order-1, etc.;
     within an order, ascending by participating coordinates.
     """
-    check_cap(length, cap)
+    check_cap(length)
     entries = [BasisIndex(mask, length) for mask in range(1 << length)]
     if ordering == "by_cardinality":
         entries.sort(key=lambda entry: (entry.order, entry.members))
@@ -139,12 +137,10 @@ def sign_row(pattern_word: int, length: int) -> np.ndarray:
     return 1.0 - 2.0 * (zeros & 1)
 
 
-def orthogonality_sum(
-    i: BasisIndex, k: BasisIndex, cap: int = EXHAUSTIVE_CAP
-) -> int:
+def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation."""
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
-    check_cap(i.length, cap)
+    check_cap(i.length)
     import numpy as np
     return int(np.dot(sign_column(i.mask, i.length), sign_column(k.mask, k.length)))

@@ -27,7 +27,7 @@ from .errors import (
 )
 
 MAX_LENGTH = 64
-#: Largest L for which 2^L enumerations are run by default.
+#: No call enumerates more than 2^EXHAUSTIVE_CAP terms; each checks before it allocates.
 EXHAUSTIVE_CAP = 24
 
 #: Deletes the digits, so a pattern of digits alone translates to "".
@@ -41,11 +41,12 @@ def _check_length(length: int) -> None:
         raise LengthOutOfRange(f"pattern length {length} outside 1..{MAX_LENGTH}")
 
 
-def check_cap(length: int, cap: int = EXHAUSTIVE_CAP) -> None:
+def check_cap(length: int) -> None:
+    """Refuse a walk over 2^length terms (a 4^L walk passes 2L) above 2^EXHAUSTIVE_CAP."""
     if length < 1:
         raise LengthOutOfRange(f"length {length} must be >= 1")
-    if length > cap:
-        raise CapExceeded(f"L={length} exceeds the exhaustive cap {cap}")
+    if length > EXHAUSTIVE_CAP:
+        raise CapExceeded(f"2^{length} terms requested, at most 2^{EXHAUSTIVE_CAP} allowed")
 
 
 def _check_word(word: int, length: int) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitspace import EXHAUSTIVE_CAP, check_cap
+from .bitspace import check_cap
 from .errors import RangeError
 
 MAX_BINOMIAL_N = 60
@@ -48,14 +48,14 @@ class SignAssignment:
             raise RangeError(f"sign string {text!r} must contain only '+'/'-'") from exc
 
 
-def lemma1_sum(assignment: SignAssignment, cap: int = EXHAUSTIVE_CAP) -> int:
+def lemma1_sum(assignment: SignAssignment) -> int:
     """Brute-force sum of all 2^L subset products of the sign variables.
 
     The subset product is (-1)^(number of -1 entries selected), accumulated
     over every subset mask; exact integer arithmetic.
     """
     length = assignment.length
-    check_cap(length, cap)
+    check_cap(length)
     minus_mask = 0
     for position, value in enumerate(assignment.values):
         if value == -1:

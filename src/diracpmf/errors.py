@@ -35,7 +35,7 @@ class RaggedLengths(DiracPmfError, ValueError):
 
 
 class CapExceeded(DiracPmfError, ValueError):
-    """An exhaustive 2^L enumeration was requested above the configured cap."""
+    """An enumeration of more than 2^EXHAUSTIVE_CAP terms was requested."""
 
 
 class NotPowerOfTwo(DiracPmfError, ValueError):

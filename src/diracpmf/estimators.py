@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from types import ModuleType
 from typing import TYPE_CHECKING, Literal
 
-from .bitspace import EXHAUSTIVE_CAP, BitPattern, Dataset
+from .bitspace import BitPattern, Dataset
 from .errors import LengthMismatch
 
 if TYPE_CHECKING:
@@ -67,18 +67,14 @@ class PmfEstimate:
     table: np.ndarray | None = None
 
     @classmethod
-    def fit(
-        cls, dataset: Dataset, method: EstimateMethod, cap: int = EXHAUSTIVE_CAP
-    ) -> PmfEstimate:
+    def fit(cls, dataset: Dataset, method: EstimateMethod) -> PmfEstimate:
         spectrum = None
         table = None
         if method == "expansion":
-            spectrum = _reference().estimate_coefficients(dataset, cap=cap)
+            spectrum = _reference().estimate_coefficients(dataset)
         elif method == "fwht":
-            reference = _reference()
             # Round-trip once at fit time; queries then read a table entry.
-            forward = reference.fast_transform(reference.frequency_vector(dataset), "forward", cap=cap)
-            table = reference.fast_transform(forward, "inverse", cap=cap)
+            table = _reference().fwht_table(dataset)
         elif method != "dirac":
             raise ValueError(f"unknown estimation method {method!r}")
         return cls(method, dataset, spectrum, table)

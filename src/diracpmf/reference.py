@@ -15,7 +15,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .basis import sign_row
-from .bitspace import EXHAUSTIVE_CAP, BitPattern, Dataset, check_cap
+from .bitspace import BitPattern, Dataset, check_cap
 from .errors import LengthMismatch, NotPowerOfTwo
 from .estimators import _require_equal_length
 
@@ -45,21 +45,21 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.floating:
     return np.einsum("i,i->", a, b)
 
 
-def kernel_sum(prototype: BitPattern, query: BitPattern, cap: int = EXHAUSTIVE_CAP) -> float:
+def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
     """Normalized basis-product sum, by explicit summation over all 2^L terms.
 
     Returns sum_i phi_i(prototype) * phi_i(query) / 2^L.
     """
     _require_equal_length(prototype, query)
-    check_cap(prototype.length, cap)
+    check_cap(prototype.length)
     length = prototype.length
     products = _dot(sign_row(prototype.word, length), sign_row(query.word, length))
     return float(products) / (1 << length)
 
 
-def estimate_coefficients(dataset: Dataset, cap: int = EXHAUSTIVE_CAP) -> Spectrum:
+def estimate_coefficients(dataset: Dataset) -> Spectrum:
     """Average phi_i over the sample, scaled by 1/2^L, for every basis index."""
-    check_cap(dataset.length, cap)
+    check_cap(dataset.length)
     length = dataset.length
     accumulator = np.zeros(1 << length, dtype=np.float64)
     for word, count in dataset.counts.items():
@@ -81,23 +81,23 @@ Direction = Literal["forward", "inverse"]
 
 
 def fast_transform(
-    values: Sequence[float] | np.ndarray,
-    direction: Direction = "forward",
-    cap: int = EXHAUSTIVE_CAP,
+    values: Sequence[float] | np.ndarray, direction: Direction = "forward"
 ) -> np.ndarray:
     """Butterfly evaluation of the sign-product transform in O(L * 2^L).
 
     forward: T(S) = sum_x f(x) * phi_S(x); inverse divides by 2^L, so
     inverse(forward(f)) == f. Input length must be a power of two.
     """
-    data = np.array(values, dtype=np.float64)
-    size = data.shape[0] if data.ndim == 1 else 0
+    # Sized by len(), so an input over the cap is refused before np.array copies it.
+    size = len(values) if getattr(values, "ndim", 1) == 1 else 0
     if size < 2 or size & (size - 1):
         raise NotPowerOfTwo(f"transform input length {size} is not 2^L with L >= 1")
-    length = size.bit_length() - 1
-    check_cap(length, cap)
+    check_cap(size.bit_length() - 1)
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
+    data = np.array(values, dtype=np.float64)
+    if data.shape != (size,):
+        raise NotPowerOfTwo(f"transform input of shape {data.shape} is not a vector")
 
     # The plain +/- butterfly pairs x with S through (-1)^(S AND x); this
     # basis signs by the zeros of x instead, which flips every odd-order
@@ -123,30 +123,31 @@ def fast_transform(
 
 def frequency_vector(dataset: Dataset) -> np.ndarray:
     """Empirical frequencies over all 2^L patterns, indexed by word."""
+    check_cap(dataset.length)
     freq = np.zeros(1 << dataset.length, dtype=np.float64)
     for word, count in dataset.counts.items():
         freq[word] = count / dataset.size
     return freq
 
 
-def estimate_fwht(dataset: Dataset, query: BitPattern, cap: int = EXHAUSTIVE_CAP) -> float:
-    """Round-trip the empirical frequencies through the fast transform."""
+def fwht_table(dataset: Dataset) -> np.ndarray:
+    """The fwht estimate of every pattern, indexed by word: the frequencies' round trip."""
+    return fast_transform(fast_transform(frequency_vector(dataset), "forward"), "inverse")
+
+
+def estimate_fwht(dataset: Dataset, query: BitPattern) -> float:
+    """Read p(query) from the fwht round trip of the whole dataset."""
     if dataset.length != query.length:
         raise LengthMismatch(
             f"dataset length {dataset.length} != pattern length {query.length}"
         )
-    check_cap(dataset.length, cap)
-    spectrum = fast_transform(frequency_vector(dataset), "forward", cap=cap)
-    reconstructed = fast_transform(spectrum, "inverse", cap=cap)
-    return float(reconstructed[query.word])
+    return float(fwht_table(dataset)[query.word])
 
 
 KernelMethod = Literal["sum", "dirac"]
 
 
-def gram_matrix(
-    dataset: Dataset, method: KernelMethod = "dirac", cap: int = EXHAUSTIVE_CAP
-) -> np.ndarray:
+def gram_matrix(dataset: Dataset, method: KernelMethod = "dirac") -> np.ndarray:
     """N x N kernel matrix over the dataset in input order; 0/1-valued and symmetric."""
     if method == "dirac":
         # Patterns of one dataset share L, so they are equal iff their words are.
@@ -159,7 +160,7 @@ def gram_matrix(
     gram = np.zeros((size, size), dtype=np.float64)
     for row in range(size):
         for col in range(row, size):
-            value = kernel_sum(patterns[row], patterns[col], cap=cap)
+            value = kernel_sum(patterns[row], patterns[col])
             gram[row, col] = value
             gram[col, row] = value
     return gram

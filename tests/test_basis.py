@@ -104,9 +104,6 @@ class TestEnumerateBasis:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             enumerate_basis(30)
-        # configurable
-        with pytest.raises(CapExceeded):
-            enumerate_basis(5, cap=4)
 
 
 class TestOrthogonality:

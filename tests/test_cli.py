@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from diracpmf import cli, estimate_coefficients, load_dataset
 from diracpmf.cli import main
 
 
@@ -75,6 +77,24 @@ class TestSpectrum:
         assert [entry["order"] for entry in entries] == [0, 1, 1, 2]
         assert entries[0]["alpha"] == 0.25
 
+    @pytest.mark.parametrize("flag", ["--json", "--pretty"])
+    @pytest.mark.parametrize("length", [1, 10, 11])
+    def test_bytes_match_one_dump_of_the_whole_payload(self, capsys, tmp_path, flag, length):
+        rng = random.Random(length)
+        lines = [format(rng.getrandbits(length), f"0{length}b") for _ in range(50)]
+        path = tmp_path / "data.txt"
+        path.write_text("\n".join(lines) + "\n")
+        spectrum = estimate_coefficients(load_dataset(lines))
+        entries = [
+            {"mask": mask, "order": mask.bit_count(), "alpha": float(alpha)}
+            for mask, alpha in enumerate(spectrum.coefficients)
+        ]
+        payload = {"L": length, "N": 50, "spectrum": entries}
+        want = json.dumps(payload, indent=2 if flag == "--pretty" else None) + "\n"
+        code, out, _ = run(capsys, "spectrum", "--input", str(path), flag)
+        assert code == 0
+        assert out == want
+
 
 class TestBasis:
     def test_table(self, capsys):
@@ -98,6 +118,27 @@ class TestBasis:
         payload = json.loads(out)
         assert payload["pass"] is True
         assert payload["pairs"] == 64
+
+    @pytest.mark.parametrize(
+        "column, violation",
+        [
+            # A zero vector breaks the diagonal: phi_0 . phi_0 sums to 0, not 4.
+            (lambda real, mask, length: real(mask, length) * (mask != 0),
+             {"i": 0, "k": 0, "sum": 0.0}),
+            # phi_1 replaced by phi_0 breaks an off-diagonal pair.
+            (lambda real, mask, length: real(mask & ~1, length),
+             {"i": 0, "k": 1, "sum": 4.0}),
+        ],
+        ids=["diagonal", "off-diagonal"],
+    )
+    def test_orthogonality_reports_true_sum(self, capsys, monkeypatch, column, violation):
+        real = cli.sign_column
+        monkeypatch.setattr(cli, "sign_column", lambda mask, length: column(real, mask, length))
+        code, out, _ = run(capsys, "basis", "--length", "2", "--check", "orthogonality")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["pass"] is False
+        assert payload["first_violation"] == violation
 
     def test_orthogonality_cap(self, capsys):
         code, _, err = run(capsys, "basis", "--length", "20", "--check", "orthogonality")

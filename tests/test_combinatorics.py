@@ -58,7 +58,7 @@ class TestLemma1Sum:
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            lemma1_sum(SignAssignment((1,) * 5), cap=4)
+            lemma1_sum(SignAssignment((1,) * 25))
 
     def test_bridge_to_kernel_products(self):
         # a_l = (2x_jl - 1)(2x_l - 1) turns the lemma sum into the

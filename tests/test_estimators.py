@@ -260,8 +260,12 @@ class TestFastTransform:
             fast_transform([1.0, 2.0, 3.0], "forward")
         with pytest.raises(NotPowerOfTwo):
             fast_transform([1.0], "forward")
+        with pytest.raises(NotPowerOfTwo):
+            fast_transform(np.zeros((2, 2)), "forward")
+        with pytest.raises(NotPowerOfTwo):
+            fast_transform([[1.0, 2.0], [3.0, 4.0]], "forward")
         with pytest.raises(CapExceeded):
-            fast_transform([0.0] * (1 << 5), "forward", cap=4)
+            fast_transform(np.broadcast_to(0.0, 1 << 25), "forward")
         with pytest.raises(ValueError):
             fast_transform([1.0, 2.0], "sideways")
 
