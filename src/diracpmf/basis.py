@@ -5,11 +5,16 @@ l in a subset S of {1..L}; the empty subset gives phi_0 = 1. The subset is
 encoded as an L-bit mask (bit l-1 set iff coordinate l participates), and
 the mask doubles as the basis index. The sign vectors import numpy on
 first use, so the rest of the module loads without it.
+
+phi_S is a tensor (Kronecker) product of one 2-vector per coordinate, so a
+whole sign vector is built by L doublings of a byte pattern, with no 2^L
+index range and no cache.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Iterator, Literal
 
 from .bitspace import EXHAUSTIVE_CAP, BitPattern, check_cap  # EXHAUSTIVE_CAP: re-exported
 from .errors import LengthMismatch, LengthOutOfRange
@@ -17,10 +22,8 @@ from .errors import LengthMismatch, LengthOutOfRange
 if TYPE_CHECKING:
     import numpy as np
 
-#: Mask ranges up to this L (2^16 uint64 entries, 512 KiB) stay cached;
-#: longer ones are built per call, so no cache pins a large array.
-MASK_CACHE_MAX_LENGTH = 16
-_MASK_RANGES: dict[int, np.ndarray] = {}
+#: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 
 
 @dataclass(frozen=True)
@@ -75,19 +78,30 @@ class BasisTable:
 Ordering = Literal["canonical", "by_cardinality"]
 
 
-def enumerate_basis(length: int, ordering: Ordering = "canonical") -> BasisTable:
-    """List all 2^L subsets, either in mask order or grouped by order.
+def iter_basis(length: int, ordering: Ordering = "canonical") -> Iterator[BasisIndex]:
+    """Yield all 2^L subsets one at a time, either in mask order or grouped by order.
 
-    The by_cardinality view lists all order-0 entries, then order-1, etc.;
-    within an order, ascending by participating coordinates.
+    The by_cardinality view yields all order-0 entries, then order-1, etc.;
+    within an order, ascending by participating coordinates. The limit and
+    the ordering are checked on the call, before anything is yielded.
     """
     check_cap(length)
-    entries = [BasisIndex(mask, length) for mask in range(1 << length)]
+    if ordering == "canonical":
+        return (BasisIndex(mask, length) for mask in range(1 << length))
     if ordering == "by_cardinality":
-        entries.sort(key=lambda entry: (entry.order, entry.members))
-    elif ordering != "canonical":
-        raise ValueError(f"unknown ordering {ordering!r}")
-    return BasisTable(length, tuple(entries))
+        # combinations() yields each order's member tuples in ascending order.
+        coordinates = range(1, length + 1)
+        return (
+            BasisIndex.from_members(members, length)
+            for order in range(length + 1)
+            for members in itertools.combinations(coordinates, order)
+        )
+    raise ValueError(f"unknown ordering {ordering!r}")
+
+
+def enumerate_basis(length: int, ordering: Ordering = "canonical") -> BasisTable:
+    """List all 2^L subsets in one of the orderings of iter_basis."""
+    return BasisTable(length, tuple(iter_basis(length, ordering)))
 
 
 def eval_basis(index: BasisIndex, pattern: BitPattern) -> int:
@@ -104,43 +118,50 @@ def eval_basis(index: BasisIndex, pattern: BitPattern) -> int:
     return -1 if zeros_in_subset.bit_count() & 1 else 1
 
 
-def _mask_range(length: int) -> np.ndarray:
-    """The masks 0..2^L-1 as a read-only uint64 array."""
-    masks = _MASK_RANGES.get(length)
-    if masks is None:
-        import numpy as np
-        masks = np.arange(1 << length, dtype=np.uint64)
-        masks.setflags(write=False)
-        if length <= MASK_CACHE_MAX_LENGTH:
-            _MASK_RANGES[length] = masks
-    return masks
+def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
+    """The signs first * (-1)^popcount(i & flip_mask) for i in 0..2^L-1, as int8 bytes.
+
+    This is the Kronecker product of the pairs (1, -1) for the bits set in
+    flip_mask and (1, 1) for the others, built by L doublings: each appends
+    a copy of the pattern so far, negated byte-wise where the bit is set.
+    Each doubling is one C-level bytes copy, so a short vector pays no numpy
+    call per coordinate.
+    """
+    check_cap(length)
+    pattern = b"\x01" if first > 0 else b"\xff"
+    for bit in range(length):
+        pattern += pattern.translate(_NEGATE) if flip_mask >> bit & 1 else pattern
+    return pattern
 
 
 def sign_column(index_mask: int, length: int) -> np.ndarray:
-    """Vector of phi_S(x) over all x in word order, for the subset mask S."""
+    """Vector of phi_S(x) over all x in word order, for the subset mask S.
+
+    phi_S(0) = (-1)^|S|, and setting bit p of x flips the sign exactly
+    when p is in S.
+    """
     import numpy as np
-    full = (1 << length) - 1
-    zeros = np.bitwise_count(np.uint64(index_mask) & ~_mask_range(length) & np.uint64(full))
-    return 1 - 2 * (zeros & 1).astype(np.int64)
+    first = -1 if index_mask.bit_count() & 1 else 1
+    return np.frombuffer(sign_bytes(index_mask, length, first), np.int8).astype(np.float64)
 
 
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
     """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
 
-    float64, the dtype of the coefficients it is multiplied with, so no
-    2^L cast runs per query.
+    float64, the dtype of the coefficients it is multiplied with. phi_0 = 1,
+    and adding coordinate p to S flips the sign exactly when x_p = 0.
     """
     import numpy as np
-    full = (1 << length) - 1
-    complement = np.uint64(~pattern_word & full)
-    zeros = np.bitwise_count(_mask_range(length) & complement)
-    return 1.0 - 2.0 * (zeros & 1)
+    flips = ~pattern_word & ((1 << length) - 1)
+    return np.frombuffer(sign_bytes(flips, length), np.int8).astype(np.float64)
 
 
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation."""
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
-    check_cap(i.length)
     import numpy as np
-    return int(np.dot(sign_column(i.mask, i.length), sign_column(k.mask, k.length)))
+    # Not np.dot, which hands float64 vectors of 2^14 entries or more to a threaded BLAS.
+    products = sign_column(i.mask, i.length)
+    products *= sign_column(k.mask, k.length)
+    return int(np.add.reduce(products))

@@ -8,14 +8,15 @@ falsify the equivalence the whole package rests on).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import re
 import sys
 import time
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
-from .basis import check_cap, enumerate_basis, sign_column
+from .basis import check_cap, iter_basis, sign_column
 from .bitspace import BitPattern, Dataset, dataset_from_words, load_dataset, parse_pattern
 from .combinatorics import SignAssignment, lemma1_sum
 from .errors import DiracPmfError
@@ -36,6 +37,27 @@ def _emit(payload: Any, pretty: bool) -> None:
         print(json.dumps(payload, indent=2))
     else:
         print(json.dumps(payload))
+
+
+def _emit_entries(payload: dict[str, Any], key: str, entries: Iterable[Any], pretty: bool) -> None:
+    """_emit payload with payload[key] the list of entries, written 1024 at a time.
+
+    All 2^L entries at once would take several hundred bytes each. The bytes
+    equal _emit of the whole payload: json.dumps gives the framing around
+    the "@" placeholders.
+    """
+    indent = 2 if pretty else None
+    payload[key] = ["@", "@"]
+    head, separator, tail = json.dumps(payload, indent=indent).split('"@"')
+    sys.stdout.write(head)
+    entries = iter(entries)
+    lead = ""
+    while chunk := list(itertools.islice(entries, 1024)):
+        payload[key] = chunk
+        text = json.dumps(payload, indent=indent)
+        sys.stdout.write(lead + text[len(head):-len(tail)])
+        lead = separator
+    print(tail)
 
 
 def _load(path: str) -> Dataset:
@@ -76,43 +98,23 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     from .reference import estimate_coefficients
     dataset = _load(args.input)
     spectrum = estimate_coefficients(dataset)
-    # Writes 1024 entries at a time, since all 2^L at once take ~440 B each. The bytes equal
-    # _emit of the whole payload: json.dumps gives the framing around the "@" placeholders.
-    indent = 2 if args.pretty else None
-    payload = {"L": dataset.length, "N": dataset.size, "spectrum": ["@", "@"]}
-    head, separator, tail = json.dumps(payload, indent=indent).split('"@"')
-    sys.stdout.write(head)
-    for start in range(0, 1 << dataset.length, 1024):
-        alphas = spectrum.coefficients[start:start + 1024].tolist()
-        payload["spectrum"] = [
-            {"mask": mask, "order": mask.bit_count(), "alpha": alpha}
-            for mask, alpha in enumerate(alphas, start)
-        ]
-        text = json.dumps(payload, indent=indent)
-        sys.stdout.write((separator if start else "") + text[len(head):-len(tail)])
-    print(tail)
+    entries = (
+        {"mask": mask, "order": mask.bit_count(), "alpha": alpha}
+        for mask, alpha in enumerate(map(float, spectrum.coefficients))
+    )
+    _emit_entries({"L": dataset.length, "N": dataset.size}, "spectrum", entries, args.pretty)
     return 0
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
     length = args.length
     if args.check == "table":
-        table = enumerate_basis(length, ordering=args.ordering)
-        _emit(
-            {
-                "L": length,
-                "ordering": args.ordering,
-                "entries": [
-                    {
-                        "mask": entry.mask,
-                        "order": entry.order,
-                        "members": list(entry.members),
-                    }
-                    for entry in table.entries
-                ],
-            },
-            args.pretty,
+        entries = (
+            {"mask": entry.mask, "order": entry.order, "members": list(entry.members)}
+            for entry in iter_basis(length, args.ordering)
         )
+        payload = {"L": length, "ordering": args.ordering}
+        _emit_entries(payload, "entries", entries, args.pretty)
         return 0
 
     # Full pairwise orthogonality: stack all sign vectors and check that the

@@ -14,7 +14,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .basis import sign_row
+from .basis import sign_bytes, sign_row
 from .bitspace import BitPattern, Dataset, check_cap
 from .errors import LengthMismatch, NotPowerOfTwo
 from .estimators import _require_equal_length
@@ -34,15 +34,16 @@ class Spectrum:
         self.coefficients.setflags(write=False)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.floating:
-    """Inner product of two float64 vectors, without BLAS.
+def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
+    """sum(row * other), multiplying into row, which the caller gives up.
 
-    np.dot passes long float64 vectors (2^L from L=14 on) to BLAS, which
-    splits them over its threads. On a 2-vCPU host, waking the second
-    thread stalled about one expansion query in four by ~8 ms. einsum
-    runs its own loop and never calls BLAS.
+    Not np.dot: it passes float64 vectors of 2^14 entries or more to BLAS,
+    which splits them over its threads, and on a 2-vCPU host waking the
+    second thread stalled about one expansion query in four by ~8 ms. Nor
+    np.einsum, whose call costs ~2 us before it adds anything.
     """
-    return np.einsum("i,i->", a, b)
+    row *= other
+    return float(np.add.reduce(row))
 
 
 def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
@@ -51,21 +52,30 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
     Returns sum_i phi_i(prototype) * phi_i(query) / 2^L.
     """
     _require_equal_length(prototype, query)
-    check_cap(prototype.length)
     length = prototype.length
-    products = _dot(sign_row(prototype.word, length), sign_row(query.word, length))
-    return float(products) / (1 << length)
+    products = _sum_of_products(sign_row(prototype.word, length), sign_row(query.word, length))
+    return products / (1 << length)
 
 
 def estimate_coefficients(dataset: Dataset) -> Spectrum:
-    """Average phi_i over the sample, scaled by 1/2^L, for every basis index."""
+    """Average phi_i over the sample, scaled by 1/2^L, for every basis index.
+
+    Materialises each distinct prototype's full 2^L sign row, times its
+    count, in one reused buffer, and adds it to the total in place. Every
+    partial sum is an integer, so the order of the sums cannot change a
+    coefficient.
+    """
     check_cap(dataset.length)
     length = dataset.length
-    accumulator = np.zeros(1 << length, dtype=np.float64)
+    full = (1 << length) - 1
+    row = np.empty(1 << length)
+    total = np.zeros(1 << length)
     for word, count in dataset.counts.items():
-        accumulator += count * sign_row(word, length)
-    coefficients = accumulator / (dataset.size * (1 << length))
-    return Spectrum(length, dataset.size, coefficients)
+        # float(count): an int8 array times a Python int would stay int8.
+        np.multiply(np.frombuffer(sign_bytes(~word & full, length), np.int8), float(count), out=row)
+        total += row
+    total /= dataset.size * (1 << length)
+    return Spectrum(length, dataset.size, total)
 
 
 def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
@@ -74,7 +84,7 @@ def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
         raise LengthMismatch(
             f"spectrum length {spectrum.length} != pattern length {query.length}"
         )
-    return float(_dot(spectrum.coefficients, sign_row(query.word, spectrum.length)))
+    return _sum_of_products(sign_row(query.word, spectrum.length), spectrum.coefficients)
 
 
 Direction = Literal["forward", "inverse"]
@@ -98,41 +108,50 @@ def fast_transform(
     data = np.array(values, dtype=np.float64)
     if data.shape != (size,):
         raise NotPowerOfTwo(f"transform input of shape {data.shape} is not a vector")
+    return _butterfly(data, direction)
 
-    # The plain +/- butterfly pairs x with S through (-1)^(S AND x); this
-    # basis signs by the zeros of x instead, which flips every odd-order
-    # coefficient: flip outputs going forward, inputs coming back.
-    orders = np.bitwise_count(np.arange(size, dtype=np.uint64))
-    parity_signs = 1 - 2 * (orders & 1).astype(np.float64)
-    if direction == "inverse":
-        data *= parity_signs
+
+def _butterfly(data: np.ndarray, direction: Direction) -> np.ndarray:
+    """fast_transform of a float64 2^L vector, in place, with one temporary half per stage.
+
+    Per coordinate, this basis maps the pair (a, b) at x_p = 0, 1 to
+    (a + b, b - a) going forward, and back with (a - b, a + b) / 2. These
+    are the plain +/- butterfly with the sign flips of odd-order
+    coefficients folded in, and give the same floats, since a negation
+    rounds exactly.
+    """
     half = 1
-    while half < size:
+    while half < len(data):
         blocks = data.reshape(-1, 2 * half)
-        low = blocks[:, :half].copy()
-        high = blocks[:, half:].copy()
-        blocks[:, :half] = low + high
-        blocks[:, half:] = low - high
+        low, high = blocks[:, :half], blocks[:, half:]
+        saved = low.copy()
+        if direction == "forward":
+            np.add(low, high, out=low)
+            np.subtract(high, saved, out=high)
+        else:
+            np.subtract(low, high, out=low)
+            np.add(saved, high, out=high)
         half *= 2
-    if direction == "forward":
-        data *= parity_signs
-    else:
-        data /= size
+    if direction == "inverse":
+        data /= len(data)
     return data
 
 
 def frequency_vector(dataset: Dataset) -> np.ndarray:
     """Empirical frequencies over all 2^L patterns, indexed by word."""
     check_cap(dataset.length)
+    distinct = len(dataset.counts)
+    words = np.fromiter(dataset.counts.keys(), dtype=np.uint64, count=distinct)
+    counts = np.fromiter(dataset.counts.values(), dtype=np.float64, count=distinct)
     freq = np.zeros(1 << dataset.length, dtype=np.float64)
-    for word, count in dataset.counts.items():
-        freq[word] = count / dataset.size
+    freq[words] = counts
+    freq /= dataset.size
     return freq
 
 
 def fwht_table(dataset: Dataset) -> np.ndarray:
     """The fwht estimate of every pattern, indexed by word: the frequencies' round trip."""
-    return fast_transform(fast_transform(frequency_vector(dataset), "forward"), "inverse")
+    return _butterfly(_butterfly(frequency_vector(dataset), "forward"), "inverse")
 
 
 def estimate_fwht(dataset: Dataset, query: BitPattern) -> float:

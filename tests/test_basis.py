@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diracpmf import (
     BasisIndex,
@@ -15,7 +17,7 @@ from diracpmf import (
     orthogonality_sum,
     signed_value,
 )
-from diracpmf.basis import sign_row
+from diracpmf.basis import sign_column, sign_row
 
 
 def product_oracle(index: BasisIndex, pattern: BitPattern) -> int:
@@ -149,3 +151,34 @@ def test_sign_row_matches_coefficient_dtype():
     assert row.dtype.name == "float64"
     assert list(row) == [eval_basis(BasisIndex(mask, 4), BitPattern.from_word(0b0110, 4))
                          for mask in range(16)]
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_sign_vectors_match_eval_basis_everywhere(length):
+    size = 1 << length
+    patterns = [BitPattern.from_word(word, length) for word in range(size)]
+    for word, pattern in enumerate(patterns):
+        assert list(sign_row(word, length)) == [
+            eval_basis(BasisIndex(mask, length), pattern) for mask in range(size)
+        ]
+    for mask in range(size):
+        index = BasisIndex(mask, length)
+        assert list(sign_column(mask, length)) == [
+            eval_basis(index, pattern) for pattern in patterns
+        ]
+
+
+@st.composite
+def subset_and_pattern(draw):
+    length = draw(st.integers(min_value=1, max_value=16))
+    mask = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+    word = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+    return length, mask, word
+
+
+@given(subset_and_pattern())
+def test_sign_vectors_match_eval_basis_at_drawn_points(case):
+    length, mask, word = case
+    want = eval_basis(BasisIndex(mask, length), BitPattern.from_word(word, length))
+    assert sign_row(word, length)[mask] == want
+    assert sign_column(mask, length)[word] == want

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from diracpmf import cli, estimate_coefficients, load_dataset
+from diracpmf import BasisIndex, cli, estimate_coefficients, load_dataset
 from diracpmf.cli import main
 
 
@@ -139,6 +139,26 @@ class TestBasis:
         payload = json.loads(out)
         assert payload["pass"] is False
         assert payload["first_violation"] == violation
+
+    @pytest.mark.parametrize("length", [1, 10, 11])
+    @pytest.mark.parametrize("ordering", ["canonical", "by_cardinality"])
+    @pytest.mark.parametrize("flag", ["--json", "--pretty"])
+    def test_table_bytes_match_one_dump_of_the_whole_payload(self, capsys, flag, ordering, length):
+        # The whole table, ordered by a sort rather than by the streaming generator.
+        indices = [BasisIndex(mask, length) for mask in range(1 << length)]
+        if ordering == "by_cardinality":
+            indices.sort(key=lambda index: (index.order, index.members))
+        entries = [
+            {"mask": index.mask, "order": index.order, "members": list(index.members)}
+            for index in indices
+        ]
+        payload = {"L": length, "ordering": ordering, "entries": entries}
+        want = json.dumps(payload, indent=2 if flag == "--pretty" else None) + "\n"
+        code, out, _ = run(
+            capsys, "basis", "--length", str(length), "--ordering", ordering, flag
+        )
+        assert code == 0
+        assert out == want
 
     def test_orthogonality_cap(self, capsys):
         code, _, err = run(capsys, "basis", "--length", "20", "--check", "orthogonality")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,42 @@ class TestCoefficients:
             index = BasisIndex(mask, 4)
             expected = sum(eval_basis(index, p) for p in dataset) / (11 * 16)
             assert spectrum.coefficients[mask] == pytest.approx(expected, abs=TOL)
+
+    @pytest.mark.parametrize(
+        "length, distinct", [(1, 1), (1, 2), (10, 1), (10, 9), (10, 300), (18, 1), (18, 2)]
+    )
+    def test_equals_per_word_basis_sum(self, length, distinct):
+        rng = random.Random(length * 1000 + distinct)
+        words = rng.sample(range(1 << length), distinct)
+        dataset = dataset_from_words(
+            [word for i, word in enumerate(words) for _ in range(1 + i % 3)], length
+        )
+        spectrum = estimate_coefficients(dataset)
+        patterns = [BitPattern.from_word(word, length) for word in words]
+        masks = range(1 << length)
+        if length > 10:
+            masks = [0, (1 << length) - 1] + rng.sample(masks, 2000)
+        for mask in masks:
+            index = BasisIndex(mask, length)
+            total = sum(
+                dataset.counts[pattern.word] * eval_basis(index, pattern) for pattern in patterns
+            )
+            assert spectrum.coefficients[mask] == total / (dataset.size * (1 << length))
+
+    @pytest.mark.parametrize("length, distinct", [(14, 1), (14, 9), (14, 5000), (14, 16384), (18, 3)])
+    def test_peak_memory_does_not_grow_with_distinct_words(self, length, distinct):
+        rng = random.Random(distinct)
+        dataset = dataset_from_words(rng.sample(range(1 << length), distinct), length)
+        tracemalloc.start()
+        try:
+            estimate_coefficients(dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The coefficients and one reused float64 row, the int8 sign pattern
+        # while it doubles (2 B an entry at most), numpy's buffer for the
+        # int8 -> float64 cast (8192 entries) and a few small objects.
+        assert peak <= 2 * (8 << length) + (2 << length) + (64 << 10) + 4096
 
     def test_bound_and_integrality(self):
         rng = random.Random(13)

@@ -57,6 +57,9 @@ WALKS = {
     ),
     "fit-expansion": lambda length: PmfEstimate.fit(one_word(length), "expansion"),
     "fit-fwht": lambda length: PmfEstimate.fit(one_word(length), "fwht"),
+    "sign_row": lambda length: basis.sign_row(0, length),
+    "sign_column": lambda length: basis.sign_column(0, length),
+    "sign_bytes": lambda length: basis.sign_bytes(0, length),
 }
 
 
@@ -88,6 +91,18 @@ def test_refusal_allocates_nothing(name):
     try:
         with pytest.raises(CapExceeded, match=REFUSED_25):
             WALKS[name](25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["sign_row", "sign_column", "sign_bytes"])
+def test_sign_vector_at_l40_is_refused_before_allocating(name):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"2\^40 terms requested"):
+            WALKS[name](40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -133,6 +148,23 @@ def test_spectrum_writes_its_entries_without_holding_them(tmp_path, flag):
     assert code == 0
     # The 2^16 coefficients and the fit's sign rows take ~2.5 MB; a list of
     # all 2^16 entry dicts would take ~25 MB more.
+    assert peak < 8 << 20
+
+
+@pytest.mark.parametrize("ordering", ["canonical", "by_cardinality"])
+def test_basis_table_writes_its_entries_without_holding_them(ordering):
+    # --json only: --pretty streams through the same writer, and tracing the
+    # pure-Python indenting encoder would take tens of seconds at L=16.
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["basis", "--length", "16", "--ordering", ordering, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    # 1024 entries at a time take ~3 MB; all 2^16 BasisIndex objects, entry
+    # dicts and the whole JSON text would take ~30 MB more.
     assert peak < 8 << 20
 
 

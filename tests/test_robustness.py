@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -40,12 +41,20 @@ def test_bench_length_not_integers_exits_one(capsys):
     assert "--length must be comma-separated integers" in captured.err
 
 
-def test_mask_range_cache_holds_no_large_array():
-    sign_row(0, 12)
-    row = sign_row(0b1011, 20)
-    assert all(masks.size <= 1 << 16 for masks in basis._MASK_RANGES.values())
-    assert 12 in basis._MASK_RANGES
-    pattern = BitPattern.from_word(0b1011, 20)
-    rng = random.Random(5)
-    for mask in [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(50)]:
-        assert row[mask] == eval_basis(BasisIndex(mask, 20), pattern)
+def test_sign_vectors_leave_no_array_behind():
+    tracemalloc.start()
+    try:
+        sign_row(0, 12)
+        row = sign_row(0b1011, 20)
+        pattern = BitPattern.from_word(0b1011, 20)
+        rng = random.Random(5)
+        for mask in [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(50)]:
+            assert row[mask] == eval_basis(BasisIndex(mask, 20), pattern)
+        del row
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, basis.__file__)]
+        )
+    finally:
+        tracemalloc.stop()
+    # A cache of index ranges or rows would still hold its bytes here.
+    assert sum(trace.size for trace in held.traces) == 0
