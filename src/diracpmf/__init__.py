@@ -4,16 +4,10 @@ Three interchangeable estimation paths (basis expansion, Dirac-kernel
 counting, fast transform) plus the sign-product basis, the combinatorial
 lemma tying them together, and a CLI front-end.
 
-Importing the package loads no numpy, which the counting path never
-needs; the names of the numpy-backed .reference module load it on first use.
+Importing the package loads only the counting path: no numpy and no
+dataclasses. The names of the numpy-backed .reference module and of the
+.basis and .combinatorics oracles load their module on first use.
 """
-from .basis import (
-    BasisIndex,
-    BasisTable,
-    enumerate_basis,
-    eval_basis,
-    orthogonality_sum,
-)
 from .bitspace import (
     EXHAUSTIVE_CAP,
     BitPattern,
@@ -24,12 +18,6 @@ from .bitspace import (
     parse_pattern,
     render_pattern,
     signed_value,
-)
-from .combinatorics import (
-    SignAssignment,
-    check_pascal_identities,
-    lemma1_sum,
-    signed_binomial_row_sum,
 )
 from .errors import (
     CapExceeded,
@@ -46,22 +34,34 @@ from .errors import (
 )
 from .estimators import EQUIVALENCE_TOL, PmfEstimate, estimate_dirac, kernel_dirac
 
-#: Names served by the numpy-backed .reference module, imported on first use.
-_REFERENCE_NAMES = frozenset({
-    "Spectrum", "estimate_coefficients", "estimate_expansion", "estimate_fwht",
-    "fast_transform", "frequency_vector", "gram_matrix", "kernel_sum",
-})
+#: Names of the modules the counting path does not need, each imported on
+#: first use: .reference loads numpy, and .basis and .combinatorics are
+#: verification oracles.
+_LAZY_NAMES = {
+    name: module
+    for module, names in {
+        "basis": ("BasisIndex", "BasisTable", "enumerate_basis", "eval_basis",
+                  "orthogonality_sum"),
+        "combinatorics": ("SignAssignment", "check_pascal_identities", "lemma1_sum",
+                          "signed_binomial_row_sum"),
+        "reference": ("Spectrum", "estimate_coefficients", "estimate_expansion",
+                      "estimate_fwht", "fast_transform", "frequency_vector", "gram_matrix",
+                      "kernel_sum"),
+    }.items()
+    for name in names
+}
 
 
 def __getattr__(name: str) -> object:
-    if name in _REFERENCE_NAMES:
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    return getattr(import_module(f"{__name__}.{module}"), name)
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _REFERENCE_NAMES)
+    return sorted(globals().keys() | _LAZY_NAMES.keys())
 
 
 __version__ = "0.1.0"

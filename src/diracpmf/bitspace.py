@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -78,46 +77,82 @@ def _pack(text: str) -> tuple[str, int]:
     return digits, int(digits[::-1], 2)
 
 
-def _from_digits(digits: str, word: int) -> BitPattern:
-    """Build a BitPattern from validated digits, skipping the per-bit checks."""
-    pattern = object.__new__(BitPattern)
-    object.__setattr__(pattern, "bits", tuple(digits.encode().translate(_DIGIT_VALUES)))
-    object.__setattr__(pattern, "word", word)
-    return pattern
+class _Frozen:
+    """Refuses attribute assignment once an instance is built, like a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
 
-@dataclass(frozen=True)
-class BitPattern:
-    """An immutable L-bit binary vector, 1 <= L <= 64."""
+class BitPattern(_Frozen):
+    """An immutable L-bit binary vector, 1 <= L <= 64, held as its packed word.
 
-    bits: tuple[int, ...]
-    word: int = field(init=False, compare=False)
+    Two patterns are equal iff their words and lengths are, so "0" and "00"
+    differ; ``bits`` is derived from the word on each access.
+    """
 
-    def __post_init__(self) -> None:
-        _check_length(len(self.bits))
+    __slots__ = ("word", "length")
+    word: int
+    length: int
+
+    def __init__(self, bits: Sequence[int]) -> None:
+        _check_length(len(bits))
         word = 0
-        for position, bit in enumerate(self.bits):
+        for position, bit in enumerate(bits):
             if bit not in (0, 1):
                 raise IllegalCharacter(f"bit value {bit!r} is not 0 or 1")
             word |= bit << position
-        object.__setattr__(self, "word", word)
+        _set_word(self, int(word))
+        _set_length(self, len(bits))
 
     @property
-    def length(self) -> int:
-        return len(self.bits)
+    def bits(self) -> tuple[int, ...]:
+        """(x_1, ..., x_L) as 0/1 ints."""
+        return tuple(render_pattern(self).encode().translate(_DIGIT_VALUES))
 
     @classmethod
     def from_word(cls, word: int, length: int) -> BitPattern:
         """Unpack an integer whose bit l-1 is x_l."""
         _check_word(word, length)
-        return _from_digits(format(word, f"0{length}b")[::-1], int(word))
+        return _pattern(int(word), length)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.word == other.word and self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.word, self.length))
+
+    def __reduce__(self) -> tuple:
+        return _pattern, (self.word, self.length)
+
+    def __repr__(self) -> str:
+        return f"BitPattern(bits={self.bits!r}, word={self.word!r})"
 
     def __str__(self) -> str:
         return render_pattern(self)
 
 
-@dataclass(frozen=True)
-class Dataset:
+# The slot descriptors set the fields past _Frozen.__setattr__.
+_set_word = BitPattern.word.__set__
+_set_length = BitPattern.length.__set__
+
+
+def _pattern(word: int, length: int) -> BitPattern:
+    """The one constructor behind every BitPattern of a checked word; no checks of its own."""
+    pattern = object.__new__(BitPattern)
+    _set_word(pattern, word)
+    _set_length(pattern, length)
+    return pattern
+
+
+class Dataset(_Frozen):
     """N prototype patterns of a common length. Duplicates carry weight.
 
     ``words`` holds the N packed words in input order; ``counts`` maps each
@@ -125,20 +160,34 @@ class Dataset:
     estimator. Build one with load_dataset or dataset_from_words.
     """
 
+    __slots__ = ("words", "length", "counts")
     words: array
     length: int
-    counts: dict[int, int] = field(init=False, repr=False, compare=False)
+    counts: dict[int, int]
 
-    def __post_init__(self) -> None:
-        if not self.words:
+    def __init__(self, words: array, length: int) -> None:
+        if not words:
             raise EmptyDataset("a dataset needs at least one pattern")
-        _check_length(self.length)
-        if max(self.words) >> self.length:
-            raise ValueError(f"a word does not fit in {self.length} bits")
-        object.__setattr__(self, "counts", dict(Counter(self.words)))
+        _check_length(length)
+        if max(words) >> length:
+            raise ValueError(f"a word does not fit in {length} bits")
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "length", length)
+        object.__setattr__(self, "counts", dict(Counter(words)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.length == other.length and self.words == other.words
 
     def __hash__(self) -> int:
         return hash((self.length, self.words.tobytes()))
+
+    def __reduce__(self) -> tuple:
+        return Dataset, (self.words, self.length)
+
+    def __repr__(self) -> str:
+        return f"Dataset(words={self.words!r}, length={self.length!r})"
 
     @property
     def size(self) -> int:
@@ -150,7 +199,8 @@ class Dataset:
         return tuple(self)
 
     def __iter__(self) -> Iterator[BitPattern]:
-        return (BitPattern.from_word(word, self.length) for word in self.words)
+        length = self.length
+        return (_pattern(word, length) for word in self.words)
 
 
 def parse_pattern(text: str, expected_length: int | None = None) -> BitPattern:
@@ -160,7 +210,7 @@ def parse_pattern(text: str, expected_length: int | None = None) -> BitPattern:
         raise LengthMismatch(
             f"pattern {text!r} has length {len(digits)}, expected {expected_length}"
         )
-    return _from_digits(digits, word)
+    return _pattern(word, len(digits))
 
 
 def render_pattern(pattern: BitPattern) -> str:
@@ -203,13 +253,14 @@ def signed_value(pattern: BitPattern, index: int) -> int:
     """Return 2*x_l - 1 for the 1-based coordinate l."""
     if not 1 <= index <= pattern.length:
         raise IndexOutOfRange(f"index {index} outside 1..{pattern.length}")
-    return 2 * pattern.bits[index - 1] - 1
+    return 2 * (pattern.word >> (index - 1) & 1) - 1
 
 
 def all_patterns(length: int) -> Iterator[BitPattern]:
     """Enumerate {0,1}^L in word order. Caller is responsible for caps."""
+    _check_length(length)
     for word in range(1 << length):
-        yield BitPattern.from_word(word, length)
+        yield _pattern(word, length)
 
 
 def dataset_from_words(words: Sequence[int], length: int) -> Dataset:

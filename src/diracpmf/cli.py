@@ -14,13 +14,21 @@ import random
 import re
 import sys
 import time
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from .basis import check_cap, iter_basis, sign_column
-from .bitspace import BitPattern, Dataset, dataset_from_words, load_dataset, parse_pattern
-from .combinatorics import SignAssignment, lemma1_sum
+from .bitspace import (
+    BitPattern,
+    Dataset,
+    check_cap,
+    dataset_from_words,
+    load_dataset,
+    parse_pattern,
+)
 from .errors import DiracPmfError
 from .estimators import EQUIVALENCE_TOL, PmfEstimate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Expansion benchmarking above this L is pointless and slow.
 BENCH_EXPANSION_CAP = 20
@@ -30,6 +38,8 @@ BENCH_REPETITIONS = 7
 BENCH_CHUNK_QUERIES = 100
 #: Least untimed warm-up per benchmark cell, in seconds.
 BENCH_WARMUP_S = 0.2
+#: Rows of the Gram matrix formed at a time by `basis --check orthogonality`.
+GRAM_BLOCK_ROWS = 128
 
 
 def _emit(payload: Any, pretty: bool) -> None:
@@ -106,7 +116,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
+def sign_column(index_mask: int, length: int) -> np.ndarray:
+    """basis.sign_column, imported on first use: the counting commands load no basis."""
+    from .basis import sign_column
+    return sign_column(index_mask, length)
+
+
 def cmd_basis(args: argparse.Namespace) -> int:
+    from .basis import iter_basis
     length = args.length
     if args.check == "table":
         entries = (
@@ -117,31 +134,41 @@ def cmd_basis(args: argparse.Namespace) -> int:
         _emit_entries(payload, "entries", entries, args.pretty)
         return 0
 
-    # Full pairwise orthogonality: stack all sign vectors and check that the
-    # Gram matrix, less 2^L on its diagonal, is all zeros.
+    # Full pairwise orthogonality: every Gram entry is an explicit sum of
+    # 2^L sign products, and must be 2^L on the diagonal and 0 off it. The
+    # signs are stored as int8 (16 MB at L=12), and the Gram matrix is formed
+    # GRAM_BLOCK_ROWS rows at a time in float32, which holds every partial
+    # sum exactly: each is an integer of magnitude at most 2^L <= 2^12.
     import numpy as np
     check_cap(2 * length)
     size = 1 << length
-    signs = np.empty((size, size), dtype=np.float64)
+    signs = np.empty((size, size), dtype=np.int8)
     for mask in range(size):
         signs[mask] = sign_column(mask, length)
-    gram = signs @ signs.T
-    gram[np.diag_indices(size)] -= size
-    mismatches = np.argwhere(gram)
     report: dict[str, Any] = {"L": length, "check": "orthogonality", "pairs": size * size}
-    if mismatches.size:
-        i, k = (int(v) for v in mismatches[0])
-        total = gram[i, k] + (size if i == k else 0)
-        report["pass"] = False
-        report["first_violation"] = {"i": i, "k": k, "sum": float(total)}
-        _emit(report, args.pretty)
-        return 2
+    for start in range(0, size, GRAM_BLOCK_ROWS):
+        rows = signs[start:start + GRAM_BLOCK_ROWS].astype(np.float32)
+        gram = np.empty((len(rows), size), dtype=np.float32)
+        for column in range(0, size, GRAM_BLOCK_ROWS):
+            block = signs[column:column + GRAM_BLOCK_ROWS].astype(np.float32)
+            np.matmul(rows, block.T, out=gram[:, column:column + GRAM_BLOCK_ROWS])
+        diagonal = np.arange(len(rows))
+        gram[diagonal, start + diagonal] -= size
+        mismatches = np.argwhere(gram)
+        if mismatches.size:
+            i, k = (int(v) for v in mismatches[0])
+            total = gram[i, k] + (size if start + i == k else 0)
+            report["pass"] = False
+            report["first_violation"] = {"i": start + i, "k": k, "sum": float(total)}
+            _emit(report, args.pretty)
+            return 2
     report["pass"] = True
     _emit(report, args.pretty)
     return 0
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
+    from .combinatorics import SignAssignment, lemma1_sum
     length = args.length
     if args.signs is not None:
         assignment = SignAssignment.from_string(args.signs)

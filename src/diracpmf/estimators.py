@@ -10,11 +10,10 @@ All three must agree to 1e-12 on any dataset; the test suite enforces it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import ModuleType
 from typing import TYPE_CHECKING, Literal
 
-from .bitspace import BitPattern, Dataset
+from .bitspace import BitPattern, Dataset, _Frozen
 from .errors import LengthMismatch
 
 if TYPE_CHECKING:
@@ -57,37 +56,84 @@ def _reference() -> ModuleType:
     return reference
 
 
-@dataclass(frozen=True)
-class PmfEstimate:
-    """A queryable estimate p: {0,1}^L -> [0,1] built from a dataset."""
+class PmfEstimate(_Frozen):
+    """A queryable estimate p: {0,1}^L -> [0,1] built from a dataset.
 
+    The constructor binds the method's query once, so a call makes one
+    length check and then does only that method's work; for dirac, one
+    read of the count map.
+    """
+
+    __slots__ = ("method", "dataset", "spectrum", "table", "_query", "_length", "_counts", "_size")
     method: EstimateMethod
     dataset: Dataset
-    spectrum: Spectrum | None = None
-    table: np.ndarray | None = None
+    spectrum: Spectrum | None
+    table: np.ndarray | None
+
+    def __init__(
+        self,
+        method: EstimateMethod,
+        dataset: Dataset,
+        spectrum: Spectrum | None = None,
+        table: np.ndarray | None = None,
+    ) -> None:
+        query = _QUERIES.get(method)
+        if query is None:
+            raise ValueError(f"unknown estimation method {method!r}")
+        for name, value in (
+            ("method", method), ("dataset", dataset), ("spectrum", spectrum), ("table", table),
+            ("_query", query), ("_length", dataset.length), ("_counts", dataset.counts),
+            ("_size", dataset.size),
+        ):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def fit(cls, dataset: Dataset, method: EstimateMethod) -> PmfEstimate:
-        spectrum = None
-        table = None
-        if method == "expansion":
-            spectrum = _reference().estimate_coefficients(dataset)
-        elif method == "fwht":
-            # Round-trip once at fit time; queries then read a table entry.
-            table = _reference().fwht_table(dataset)
-        elif method != "dirac":
-            raise ValueError(f"unknown estimation method {method!r}")
+        spectrum = _reference().estimate_coefficients(dataset) if method == "expansion" else None
+        # Round-trip once at fit time; queries then read a table entry.
+        table = _reference().fwht_table(dataset) if method == "fwht" else None
         return cls(method, dataset, spectrum, table)
 
     def __call__(self, query: BitPattern) -> float:
-        if self.dataset.length != query.length:
+        if query.length != self._length:
             raise LengthMismatch(
-                f"dataset length {self.dataset.length} != pattern length {query.length}"
+                f"dataset length {self._length} != pattern length {query.length}"
             )
-        if self.method == "expansion":
-            assert self.spectrum is not None
-            return _reference().estimate_expansion(self.spectrum, query)
-        if self.method == "fwht":
-            assert self.table is not None
-            return float(self.table[query.word])
-        return estimate_dirac(self.dataset, query)
+        return self._query(self, query)
+
+    def _dirac(self, query: BitPattern) -> float:
+        return self._counts.get(query.word, 0) / self._size
+
+    def _expansion(self, query: BitPattern) -> float:
+        return _reference().estimate_expansion(self.spectrum, query)
+
+    def _fwht(self, query: BitPattern) -> float:
+        return float(self.table[query.word])
+
+    def _key(self) -> tuple:
+        return (self.method, self.dataset, self.spectrum, self.table)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor, which binds the query again.
+        return self.__class__, self._key()
+
+    def __repr__(self) -> str:
+        return "PmfEstimate(method={!r}, dataset={!r}, spectrum={!r}, table={!r})".format(
+            *self._key()
+        )
+
+
+#: The query each method binds; plain functions, so an estimate holds no reference cycle.
+_QUERIES = {
+    "dirac": PmfEstimate._dirac,
+    "expansion": PmfEstimate._expansion,
+    "fwht": PmfEstimate._fwht,
+}

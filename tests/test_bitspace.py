@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 from array import array
 from collections import Counter
 
@@ -238,3 +240,125 @@ def test_dataset_from_words_range_checks():
         dataset_from_words([], 3)
     with pytest.raises(ValueError, match="does not fit in 2 bits"):
         Dataset(array("Q", [1, 5]), 2)
+
+
+# A pattern is its (word, length); these check it against the bits tuple it
+# replaced as the stored value, over every route that builds one.
+
+
+def reference_word(bits):
+    return sum(bit << position for position, bit in enumerate(bits))
+
+
+def every_route(bits):
+    """The same pattern built by each public route."""
+    text = "".join(map(str, bits))
+    word, length = reference_word(bits), len(bits)
+    return [
+        BitPattern(tuple(bits)),
+        BitPattern(bits=tuple(bits)),
+        parse_pattern(text),
+        parse_pattern(",".join(text), expected_length=length),
+        BitPattern.from_word(word, length),
+        next(iter(dataset_from_words([word], length))),
+        load_dataset([text]).patterns[0],
+    ]
+
+
+bit_lists = st.lists(st.sampled_from([0, 1]), min_size=1, max_size=64)
+
+
+@st.composite
+def bit_list_pairs(draw):
+    """Two bit lists: unrelated, equal, or one the other plus trailing zeros
+    (equal words, different lengths, as "0" and "00")."""
+    first = draw(bit_lists)
+    kind = draw(st.sampled_from(["other", "same", "padded"]))
+    if kind == "same":
+        return first, list(first)
+    if kind == "padded" and len(first) < 64:
+        return first, first + [0] * draw(st.integers(1, 64 - len(first)))
+    return first, draw(bit_lists)
+
+
+@given(bit_list_pairs())
+def test_pattern_agrees_with_its_bits_tuple(pair):
+    first, second = pair
+    for bits in (first, second):
+        for pattern in every_route(bits):
+            assert type(pattern) is BitPattern
+            assert pattern.bits == tuple(bits)
+            assert pattern.word == reference_word(bits)
+            assert pattern.length == len(bits)
+            assert str(pattern) == "".join(map(str, bits))
+    same = tuple(first) == tuple(second)
+    for a in every_route(first):
+        for b in every_route(second):
+            assert (a == b) is same
+            assert (a != b) is (not same)
+            assert (b in {a}) is same
+            assert (b in {a.bits: a}.values()) is same
+            if same:
+                assert hash(a) == hash(b)
+
+
+def test_equal_words_of_different_lengths_differ():
+    short, long = parse_pattern("0"), parse_pattern("00")
+    assert short.word == long.word == 0
+    assert short != long
+    assert len({short, long, BitPattern((0,)), BitPattern.from_word(0, 2)}) == 2
+    assert parse_pattern("1") != object()
+    assert parse_pattern("1") != 1
+
+
+def test_bits_constructor_keeps_its_error_types():
+    with pytest.raises(IllegalCharacter):
+        BitPattern((0, 2))
+    with pytest.raises(IllegalCharacter):
+        BitPattern((1, -1, 0))
+    with pytest.raises(LengthOutOfRange):
+        BitPattern(())
+    with pytest.raises(LengthOutOfRange):
+        BitPattern((0,) * 65)
+    assert BitPattern((1,) * 64).word == (1 << 64) - 1
+
+
+@pytest.mark.parametrize("name", ["word", "length", "bits", "other"])
+def test_pattern_and_dataset_refuse_assignment(name):
+    pattern = parse_pattern("0110")
+    dataset = load_dataset(["01", "11"])
+    for target in (pattern, dataset):
+        with pytest.raises(AttributeError):
+            setattr(target, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(target, name)
+    assert pattern == parse_pattern("0110")
+    assert dataset == load_dataset(["01", "11"])
+
+
+def copies(value):
+    """value through every pickle protocol, copy.copy and copy.deepcopy."""
+    pickled = [
+        pickle.loads(pickle.dumps(value, protocol))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+    ]
+    return [*pickled, copy.copy(value), copy.deepcopy(value)]
+
+
+@pytest.mark.parametrize("text", ["0", "00", "1" * 64, "0110"])
+def test_pattern_copies_are_equal(text):
+    pattern = parse_pattern(text)
+    for other in copies(pattern):
+        assert type(other) is BitPattern
+        assert other == pattern and hash(other) == hash(pattern)
+        assert (other.bits, other.word, other.length) == (pattern.bits, pattern.word, pattern.length)
+
+
+def test_dataset_copies_are_equal():
+    dataset = load_dataset(["11", "00", "11", "01"])
+    for other in copies(dataset):
+        assert type(other) is Dataset
+        assert other == dataset and hash(other) == hash(dataset)
+        assert other.counts == dataset.counts
+        assert (other.length, other.size, list(other.words)) == (2, 4, [3, 0, 3, 2])
+        assert other.patterns == dataset.patterns

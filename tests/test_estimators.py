@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -343,3 +345,68 @@ class TestGramMatrix:
         expected = np.array([[float(a == b) for b in lines] for a in lines])
         for method in ("dirac", "sum"):
             assert np.array_equal(gram_matrix(dataset, method), expected)
+
+
+class TestPmfEstimateBehaviour:
+    """The estimate binds its query at construction; it still pickles, copies and refuses assignment."""
+
+    METHODS = ("expansion", "dirac", "fwht")
+
+    @staticmethod
+    def copies(value):
+        pickled = [
+            pickle.loads(pickle.dumps(value, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        return [*pickled, copy.copy(value), copy.deepcopy(value)]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_copies_answer_identically(self, method):
+        dataset = random_dataset(random.Random(6), 6, 40)
+        estimate = PmfEstimate.fit(dataset, method)
+        queries = list(all_patterns(6))
+        want = [estimate(query) for query in queries]
+        for other in self.copies(estimate):
+            assert type(other) is PmfEstimate
+            assert other.method == method
+            assert other.dataset == dataset
+            assert [other(query) for query in queries] == want
+            with pytest.raises(LengthMismatch):
+                other(parse_pattern("0"))
+
+    def test_dirac_copies_compare_equal(self):
+        estimate = PmfEstimate.fit(load_dataset(["01", "01", "11"]), "dirac")
+        for other in self.copies(estimate):
+            assert other == estimate and hash(other) == hash(estimate)
+        assert estimate != PmfEstimate.fit(load_dataset(["01", "11"]), "dirac")
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fields_stay_readable_and_fixed(self, method):
+        dataset = load_dataset(["01", "01", "11"])
+        estimate = PmfEstimate.fit(dataset, method)
+        assert estimate.method == method
+        assert estimate.dataset is dataset
+        assert (estimate.spectrum is not None) is (method == "expansion")
+        assert (estimate.table is not None) is (method == "fwht")
+        for name in ("method", "dataset", "spectrum", "table", "other"):
+            with pytest.raises(AttributeError):
+                setattr(estimate, name, None)
+        assert estimate.method == method
+
+    def test_unknown_method_is_refused(self):
+        dataset = load_dataset(["01"])
+        with pytest.raises(ValueError, match="unknown estimation method 'kernel'"):
+            PmfEstimate.fit(dataset, "kernel")
+        with pytest.raises(ValueError, match="unknown estimation method 'kernel'"):
+            PmfEstimate("kernel", dataset)
+
+    @pytest.mark.parametrize("method", ["expansion", "fwht"])
+    def test_reference_answers_equal_the_functions(self, method):
+        dataset = random_dataset(random.Random(14), 10, 300)
+        estimate = PmfEstimate.fit(dataset, method)
+        spectrum = estimate_coefficients(dataset)
+        for query in all_patterns(10):
+            if method == "expansion":
+                assert estimate(query) == estimate_expansion(spectrum, query)
+            else:
+                assert estimate(query) == estimate_fwht(dataset, query)

@@ -72,3 +72,25 @@ def test_every_public_name_is_listed_and_resolves():
         " diracpmf.basis.EXHAUSTIVE_CAP == diracpmf.EXHAUSTIVE_CAP)\n"
     )
     assert out == ["[]", "True", "False", "True True True"]
+
+
+def test_serving_path_loads_no_dataclasses_or_inspect(dataset_file):
+    # dataclasses imports inspect, together ~13 ms of a ~50 ms import.
+    loaded = "print([name for name in ('numpy', 'dataclasses', 'inspect') if name in sys.modules])\n"
+    assert run_fresh("import sys, diracpmf.cli\n" + loaded) == ["[]"]
+    out, status, modules = run_fresh(estimate_code(dataset_file, "01", "dirac") + loaded)
+    assert json.loads(out)["p"] == 2 / 3
+    assert (status, modules) == ("0 False", "[]")
+
+
+def test_oracle_modules_load_on_first_use():
+    out = run_fresh(
+        "import sys, diracpmf\n"
+        "print([name in sys.modules for name in ('diracpmf.basis', 'diracpmf.combinatorics')])\n"
+        "from diracpmf import lemma1_sum, SignAssignment, BasisIndex, eval_basis\n"
+        "print(lemma1_sum(SignAssignment((1, 1))), eval_basis(BasisIndex(1, 1),"
+        " diracpmf.parse_pattern('0')))\n"
+        "import diracpmf.cli\n"
+        "print(diracpmf.cli._bench_one_length.__module__)\n"
+    )
+    assert out == ["[False, False]", "4 -1", "diracpmf.cli"]

@@ -4,6 +4,8 @@ import contextlib
 import inspect
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -191,3 +193,33 @@ def test_one_enumeration_constant():
     caps = {name for module in modules for name in dir(module) if name.endswith("_CAP")}
     assert caps == {"EXHAUSTIVE_CAP", "BENCH_EXPANSION_CAP"}
     assert diracpmf.EXHAUSTIVE_CAP == 24
+
+
+def test_orthogonality_check_at_l12_stays_under_64_mb():
+    # The command reports its own peak RSS, so nothing else this process ran
+    # counts. All 2^12 x 2^12 signs and their Gram product in float64 peaked
+    # near 300 MB; int8 signs and float32 row blocks stay under 64 MB.
+    measured = (
+        "import resource\n"
+        "from diracpmf.cli import main\n"
+        "status = main(['basis', '--length', '12', '--check', 'orthogonality'])\n"
+        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    # ru_maxrss also counts the image a process replaced at exec, here the
+    # forking process; so the command runs from a small launcher, not
+    # straight from this large test process.
+    launcher = (
+        "import subprocess, sys\n"
+        f"sys.exit(subprocess.run([sys.executable, '-c', {measured!r}]).returncode)\n"
+    )
+    source = os.path.dirname(os.path.dirname(diracpmf.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    report, status = proc.stdout.splitlines()
+    assert report == '{"L": 12, "check": "orthogonality", "pairs": 16777216, "pass": true}'
+    exit_code, max_rss_kb = status.split()
+    assert exit_code == "0"
+    assert int(max_rss_kb) < 64 << 10
