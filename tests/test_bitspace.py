@@ -1,6 +1,4 @@
-import copy
 import io
-import pickle
 from array import array
 from collections import Counter
 
@@ -336,17 +334,8 @@ def test_pattern_and_dataset_refuse_assignment(name):
     assert dataset == load_dataset(["01", "11"])
 
 
-def copies(value):
-    """value through every pickle protocol, copy.copy and copy.deepcopy."""
-    pickled = [
-        pickle.loads(pickle.dumps(value, protocol))
-        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
-    ]
-    return [*pickled, copy.copy(value), copy.deepcopy(value)]
-
-
 @pytest.mark.parametrize("text", ["0", "00", "1" * 64, "0110"])
-def test_pattern_copies_are_equal(text):
+def test_pattern_copies_are_equal(text, copies):
     pattern = parse_pattern(text)
     for other in copies(pattern):
         assert type(other) is BitPattern
@@ -354,7 +343,7 @@ def test_pattern_copies_are_equal(text):
         assert (other.bits, other.word, other.length) == (pattern.bits, pattern.word, pattern.length)
 
 
-def test_dataset_copies_are_equal():
+def test_dataset_copies_are_equal(copies):
     dataset = load_dataset(["11", "00", "11", "01"])
     for other in copies(dataset):
         assert type(other) is Dataset

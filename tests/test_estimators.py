@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 import random
 import tracemalloc
 
@@ -352,21 +350,13 @@ class TestPmfEstimateBehaviour:
 
     METHODS = ("expansion", "dirac", "fwht")
 
-    @staticmethod
-    def copies(value):
-        pickled = [
-            pickle.loads(pickle.dumps(value, protocol))
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
-        ]
-        return [*pickled, copy.copy(value), copy.deepcopy(value)]
-
     @pytest.mark.parametrize("method", METHODS)
-    def test_copies_answer_identically(self, method):
+    def test_copies_answer_identically(self, method, copies):
         dataset = random_dataset(random.Random(6), 6, 40)
         estimate = PmfEstimate.fit(dataset, method)
         queries = list(all_patterns(6))
         want = [estimate(query) for query in queries]
-        for other in self.copies(estimate):
+        for other in copies(estimate):
             assert type(other) is PmfEstimate
             assert other.method == method
             assert other.dataset == dataset
@@ -374,9 +364,9 @@ class TestPmfEstimateBehaviour:
             with pytest.raises(LengthMismatch):
                 other(parse_pattern("0"))
 
-    def test_dirac_copies_compare_equal(self):
+    def test_dirac_copies_compare_equal(self, copies):
         estimate = PmfEstimate.fit(load_dataset(["01", "01", "11"]), "dirac")
-        for other in self.copies(estimate):
+        for other in copies(estimate):
             assert other == estimate and hash(other) == hash(estimate)
         assert estimate != PmfEstimate.fit(load_dataset(["01", "11"]), "dirac")
 

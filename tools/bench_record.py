@@ -2,8 +2,9 @@
 
 Runs ``perfbench/run.py`` unchanged, in alternating pairs: pair i runs seed
 first_seed + i on both revisions, the parent first in even pairs and the
-change first in odd ones. Each revision runs from its own ``git archive``
-export, so uncommitted files take no part. The output holds, per workload
+change first in odd ones. Every run lasts BENCHMARK.json's run_seconds.
+Each revision runs from its own ``git archive`` export, so uncommitted
+files take no part. The output holds, per workload
 and end-to-end metric, both sides' medians and quartiles, the pairs the
 change won (ties count for neither), and every run's value; and the
 seeds, both revisions, the Python and numpy versions and nproc as the runs
@@ -92,7 +93,6 @@ def main() -> int:
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--workdir", type=Path)
     args = parser.parse_args()
@@ -110,7 +110,7 @@ def main() -> int:
             export(revision, trees[side])
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
-    seconds = args.seconds or declared["run_seconds"]
+    seconds = declared["run_seconds"]
 
     output: dict = {
         "schema": SCHEMA,
