@@ -19,7 +19,6 @@ from .errors import (
     EmptyDataset,
     EmptyInput,
     IllegalCharacter,
-    IndexOutOfRange,
     LengthMismatch,
     LengthOutOfRange,
     RaggedLengths,
@@ -193,11 +192,6 @@ class Dataset(_Frozen):
     def size(self) -> int:
         return len(self.words)
 
-    @property
-    def patterns(self) -> tuple[BitPattern, ...]:
-        """The N patterns in input order, built afresh on each access."""
-        return tuple(self)
-
     def __iter__(self) -> Iterator[BitPattern]:
         length = self.length
         return (_pattern(word, length) for word in self.words)
@@ -247,13 +241,6 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     if length is None:
         raise EmptyDataset("no pattern lines in input")
     return Dataset(words, length)
-
-
-def signed_value(pattern: BitPattern, index: int) -> int:
-    """Return 2*x_l - 1 for the 1-based coordinate l."""
-    if not 1 <= index <= pattern.length:
-        raise IndexOutOfRange(f"index {index} outside 1..{pattern.length}")
-    return 2 * (pattern.word >> (index - 1) & 1) - 1
 
 
 def all_patterns(length: int) -> Iterator[BitPattern]:

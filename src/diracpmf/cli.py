@@ -14,7 +14,7 @@ import random
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .bitspace import (
     BitPattern,
@@ -26,9 +26,6 @@ from .bitspace import (
 )
 from .errors import DiracPmfError
 from .estimators import EQUIVALENCE_TOL, PmfEstimate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Expansion benchmarking above this L is pointless and slow.
 BENCH_EXPANSION_CAP = 20
@@ -105,7 +102,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    from .reference import estimate_coefficients
+    from .verify import estimate_coefficients
     dataset = _load(args.input)
     spectrum = estimate_coefficients(dataset)
     entries = (
@@ -116,19 +113,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def sign_column(index_mask: int, length: int) -> np.ndarray:
-    """basis.sign_column, imported on first use: the counting commands load no basis."""
-    from .basis import sign_column
-    return sign_column(index_mask, length)
-
-
 def cmd_basis(args: argparse.Namespace) -> int:
-    from .basis import iter_basis
+    from . import verify
     length = args.length
     if args.check == "table":
+        # members: the participating coordinates, 1-based, ascending.
         entries = (
-            {"mask": entry.mask, "order": entry.order, "members": list(entry.members)}
-            for entry in iter_basis(length, args.ordering)
+            {"mask": mask, "order": mask.bit_count(),
+             "members": [bit + 1 for bit in range(length) if mask >> bit & 1]}
+            for mask in verify.iter_basis(length, args.ordering)
         )
         payload = {"L": length, "ordering": args.ordering}
         _emit_entries(payload, "entries", entries, args.pretty)
@@ -144,7 +137,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     size = 1 << length
     signs = np.empty((size, size), dtype=np.int8)
     for mask in range(size):
-        signs[mask] = sign_column(mask, length)
+        signs[mask] = verify.sign_column(mask, length)
     report: dict[str, Any] = {"L": length, "check": "orthogonality", "pairs": size * size}
     for start in range(0, size, GRAM_BLOCK_ROWS):
         rows = signs[start:start + GRAM_BLOCK_ROWS].astype(np.float32)
@@ -168,7 +161,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    from .combinatorics import SignAssignment, lemma1_sum
+    from .verify import SignAssignment, lemma1_sum
     length = args.length
     if args.signs is not None:
         assignment = SignAssignment.from_string(args.signs)

@@ -22,10 +22,6 @@ class LengthOutOfRange(DiracPmfError, ValueError):
     """Pattern length outside the supported range 1..64."""
 
 
-class IndexOutOfRange(DiracPmfError, IndexError):
-    """A 1-based coordinate index fell outside 1..L."""
-
-
 class EmptyDataset(DiracPmfError, ValueError):
     """A dataset with zero patterns was supplied where N >= 1 is required."""
 

@@ -2,7 +2,7 @@
 
 * dirac     -- count matching prototypes and divide by N (the closed form
   the expansion provably collapses to); O(1) per query, no numpy;
-* expansion, fwht -- the reference paths in diracpmf.reference, which
+* expansion, fwht -- the verification paths in diracpmf.verify, which
   PmfEstimate.fit imports only when one of them is asked for.
 
 All three must agree to 1e-12 on any dataset; the test suite enforces it.
@@ -19,21 +19,10 @@ from .errors import LengthMismatch
 if TYPE_CHECKING:
     import numpy as np
 
-    from .reference import Spectrum
+    from .verify import Spectrum
 
 #: Tolerance for float agreement between estimation paths.
 EQUIVALENCE_TOL = 1e-12
-
-
-def _require_equal_length(a: BitPattern, b: BitPattern) -> None:
-    if a.length != b.length:
-        raise LengthMismatch(f"pattern lengths differ: {a.length} != {b.length}")
-
-
-def kernel_dirac(prototype: BitPattern, query: BitPattern) -> float:
-    """Indicator kernel: 1 if the patterns agree elementwise, else 0."""
-    _require_equal_length(prototype, query)
-    return 1.0 if prototype.word == query.word else 0.0
 
 
 def estimate_dirac(dataset: Dataset, query: BitPattern) -> float:
@@ -49,11 +38,11 @@ EstimateMethod = Literal["expansion", "dirac", "fwht"]
 
 
 @functools.cache
-def _reference() -> ModuleType:
+def _verify() -> ModuleType:
     # Cached: an import statement per query costs ~1.4 us, as much as a
     # whole expansion query at L=8.
-    from . import reference
-    return reference
+    from . import verify
+    return verify
 
 
 class PmfEstimate(_Frozen):
@@ -80,6 +69,10 @@ class PmfEstimate(_Frozen):
         query = _QUERIES.get(method)
         if query is None:
             raise ValueError(f"unknown estimation method {method!r}")
+        if table is not None:
+            # Read-only, so no caller can change a later answer; a pickled or
+            # copied estimate is rebuilt through here and stays read-only too.
+            table.setflags(write=False)
         for name, value in (
             ("method", method), ("dataset", dataset), ("spectrum", spectrum), ("table", table),
             ("_query", query), ("_length", dataset.length), ("_counts", dataset.counts),
@@ -89,9 +82,9 @@ class PmfEstimate(_Frozen):
 
     @classmethod
     def fit(cls, dataset: Dataset, method: EstimateMethod) -> PmfEstimate:
-        spectrum = _reference().estimate_coefficients(dataset) if method == "expansion" else None
+        spectrum = _verify().estimate_coefficients(dataset) if method == "expansion" else None
         # Round-trip once at fit time; queries then read a table entry.
-        table = _reference().fwht_table(dataset) if method == "fwht" else None
+        table = _verify().fwht_table(dataset) if method == "fwht" else None
         return cls(method, dataset, spectrum, table)
 
     def __call__(self, query: BitPattern) -> float:
@@ -105,29 +98,31 @@ class PmfEstimate(_Frozen):
         return self._counts.get(query.word, 0) / self._size
 
     def _expansion(self, query: BitPattern) -> float:
-        return _reference().estimate_expansion(self.spectrum, query)
+        return _verify().estimate_expansion(self.spectrum, query)
 
     def _fwht(self, query: BitPattern) -> float:
         return float(self.table[query.word])
 
-    def _key(self) -> tuple:
+    def _fields(self) -> tuple:
         return (self.method, self.dataset, self.spectrum, self.table)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        # spectrum and table are deterministic functions of method and dataset.
+        return self.method == other.method and self.dataset == other.dataset
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.method, self.dataset))
 
     def __reduce__(self) -> tuple:
-        # Rebuilt through the constructor, which binds the query again.
-        return self.__class__, self._key()
+        # Rebuilt through the constructor, which binds the query again; the
+        # arrays go along, so unpickling does not refit.
+        return self.__class__, self._fields()
 
     def __repr__(self) -> str:
         return "PmfEstimate(method={!r}, dataset={!r}, spectrum={!r}, table={!r})".format(
-            *self._key()
+            *self._fields()
         )
 
 

@@ -1,0 +1,370 @@
+"""Verification oracles: the paths that show the expansion collapses to counting.
+
+The package serves one estimate, count/N (diracpmf.estimators). Everything
+here exists to check it on every input, and the serving path imports this
+module only when one of these is asked for:
+
+* the 2^L product-of-signs basis. phi_S multiplies the terms (2*x_l - 1)
+  for the coordinates l in a subset S of {1..L}; the empty subset gives
+  phi_0 = 1. The subset is encoded as an L-bit mask (bit l-1 set iff
+  coordinate l participates), and the mask doubles as the basis index.
+  phi_S is a tensor (Kronecker) product of one 2-vector per coordinate, so
+  a whole sign vector is built by L doublings of a byte pattern, with no
+  2^L index range and no cache;
+* the sign-variable lemma: for L variables a_1..a_L in {-1, +1}, the sum
+  of all 2^L subset products equals 2^L when every variable is +1 and 0
+  otherwise. It is what collapses the expansion to counting, so it gets a
+  brute-force evaluator plus the closed-form binomial route it reduces to;
+* the basis-product and indicator kernels, and their Gram matrix;
+* expansion -- project the sample onto the basis and reconstruct p(x) as
+  the coefficient-weighted basis sum;
+* fwht -- push the empirical frequency vector through the fast
+  forward/inverse sign-product transform.
+"""
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Iterator, Literal, Sequence
+
+import numpy as np
+
+from .bitspace import BitPattern, Dataset, check_cap
+from .errors import LengthMismatch, LengthOutOfRange, NotPowerOfTwo, RangeError
+
+#: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+
+MAX_BINOMIAL_N = 60
+
+
+@dataclass(frozen=True)
+class BasisIndex:
+    """Subset mask identifying one basis polynomial of a given length."""
+
+    mask: int
+    length: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.length <= 64:
+            raise LengthOutOfRange(f"length {self.length} outside 1..64")
+        if not 0 <= self.mask < (1 << self.length):
+            raise ValueError(f"mask {self.mask} outside 0..2^{self.length}-1")
+
+
+Ordering = Literal["canonical", "by_cardinality"]
+
+
+def iter_basis(length: int, ordering: Ordering = "canonical") -> Iterator[int]:
+    """Yield the masks of all 2^L subsets one at a time, in mask order or grouped by order.
+
+    The by_cardinality view yields all order-0 masks, then order-1, etc.;
+    within an order, ascending by participating coordinates. The limit and
+    the ordering are checked on the call, before anything is yielded.
+    """
+    check_cap(length)
+    if ordering == "canonical":
+        return iter(range(1 << length))
+    if ordering == "by_cardinality":
+        # combinations() yields each order's bit positions in ascending order.
+        return (
+            sum(1 << position for position in positions)
+            for order in range(length + 1)
+            for positions in itertools.combinations(range(length), order)
+        )
+    raise ValueError(f"unknown ordering {ordering!r}")
+
+
+def eval_basis(index: BasisIndex, pattern: BitPattern) -> int:
+    """Evaluate phi_S(x) = prod_{l in S} (2x_l - 1) in {-1, +1}.
+
+    Computed as (-1)^(number of zero coordinates inside S) via popcount;
+    the equivalence with the literal product is property-tested.
+    """
+    if index.length != pattern.length:
+        raise LengthMismatch(
+            f"basis length {index.length} != pattern length {pattern.length}"
+        )
+    zeros_in_subset = index.mask & ~pattern.word
+    return -1 if zeros_in_subset.bit_count() & 1 else 1
+
+
+def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
+    """The signs first * (-1)^popcount(i & flip_mask) for i in 0..2^L-1, as int8 bytes.
+
+    This is the Kronecker product of the pairs (1, -1) for the bits set in
+    flip_mask and (1, 1) for the others, built by L doublings: each appends
+    a copy of the pattern so far, negated byte-wise where the bit is set.
+    Each doubling is one C-level bytes copy, so a short vector pays no numpy
+    call per coordinate.
+    """
+    check_cap(length)
+    pattern = b"\x01" if first > 0 else b"\xff"
+    for bit in range(length):
+        pattern += pattern.translate(_NEGATE) if flip_mask >> bit & 1 else pattern
+    return pattern
+
+
+def sign_column(index_mask: int, length: int) -> np.ndarray:
+    """Vector of phi_S(x) over all x in word order, for the subset mask S.
+
+    phi_S(0) = (-1)^|S|, and setting bit p of x flips the sign exactly
+    when p is in S.
+    """
+    first = -1 if index_mask.bit_count() & 1 else 1
+    return np.frombuffer(sign_bytes(index_mask, length, first), np.int8).astype(np.float64)
+
+
+def sign_row(pattern_word: int, length: int) -> np.ndarray:
+    """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
+
+    float64, the dtype of the coefficients it is multiplied with. phi_0 = 1,
+    and adding coordinate p to S flips the sign exactly when x_p = 0.
+    """
+    flips = ~pattern_word & ((1 << length) - 1)
+    return np.frombuffer(sign_bytes(flips, length), np.int8).astype(np.float64)
+
+
+def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
+    """sum(row * other), multiplying into row, which the caller gives up.
+
+    Not np.dot: it passes float64 vectors of 2^14 entries or more to BLAS,
+    which splits them over its threads, and on a 2-vCPU host waking the
+    second thread stalled about one expansion query in four by ~8 ms. Nor
+    np.einsum, whose call costs ~2 us before it adds anything.
+    """
+    row *= other
+    return float(np.add.reduce(row))
+
+
+def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
+    """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation."""
+    if i.length != k.length:
+        raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
+    return int(_sum_of_products(sign_column(i.mask, i.length), sign_column(k.mask, k.length)))
+
+
+@dataclass(frozen=True)
+class SignAssignment:
+    """A fixed vector of L values, each -1 or +1."""
+
+    values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.values:
+            raise RangeError("sign assignment needs at least one variable")
+        for value in self.values:
+            if value not in (-1, 1):
+                raise RangeError(f"sign value {value} is not -1 or +1")
+
+    @property
+    def length(self) -> int:
+        return len(self.values)
+
+    @property
+    def minus_count(self) -> int:
+        return sum(1 for value in self.values if value == -1)
+
+    @classmethod
+    def from_string(cls, text: str) -> SignAssignment:
+        """Parse a string like '+-+' into signs."""
+        mapping = {"+": 1, "-": -1}
+        try:
+            return cls(tuple(mapping[char] for char in text))
+        except KeyError as exc:
+            raise RangeError(f"sign string {text!r} must contain only '+'/'-'") from exc
+
+
+def lemma1_sum(assignment: SignAssignment) -> int:
+    """Brute-force sum of all 2^L subset products of the sign variables.
+
+    The subset product is (-1)^(number of -1 entries selected), accumulated
+    over every subset mask; exact integer arithmetic.
+    """
+    length = assignment.length
+    check_cap(length)
+    minus_mask = 0
+    for position, value in enumerate(assignment.values):
+        if value == -1:
+            minus_mask |= 1 << position
+    total = 0
+    for subset in range(1 << length):
+        total += -1 if (subset & minus_mask).bit_count() & 1 else 1
+    return total
+
+
+def signed_binomial_row_sum(minus_count: int, plus_count: int) -> int:
+    """Closed-form value of the subset-product sum via binomial rows.
+
+    minus_count (m) and plus_count (k) are how many variables are -1 and
+    +1; L = m + k. All-plus sums the plain binomial row to 2^L; any m >= 1
+    contributes an alternating row summing to 0, scaled by 2^k.
+    """
+    if minus_count < 0 or plus_count < 0:
+        raise RangeError("variable counts must be nonnegative")
+    length = minus_count + plus_count
+    if length < 1:
+        raise RangeError("need at least one variable")
+    if length > MAX_BINOMIAL_N:
+        raise RangeError(f"L={length} exceeds the binomial range {MAX_BINOMIAL_N}")
+    if minus_count == 0:
+        return sum(math.comb(length, row) for row in range(length + 1))
+    alternating = sum(
+        (-1) ** row * math.comb(minus_count, row) for row in range(minus_count + 1)
+    )
+    return (1 << plus_count) * alternating
+
+
+def _require_equal_length(a: BitPattern, b: BitPattern) -> None:
+    if a.length != b.length:
+        raise LengthMismatch(f"pattern lengths differ: {a.length} != {b.length}")
+
+
+def kernel_dirac(prototype: BitPattern, query: BitPattern) -> float:
+    """Indicator kernel: 1 if the patterns agree elementwise, else 0."""
+    _require_equal_length(prototype, query)
+    return 1.0 if prototype.word == query.word else 0.0
+
+
+def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
+    """Normalized basis-product sum, by explicit summation over all 2^L terms.
+
+    Returns sum_i phi_i(prototype) * phi_i(query) / 2^L.
+    """
+    _require_equal_length(prototype, query)
+    length = prototype.length
+    products = _sum_of_products(sign_row(prototype.word, length), sign_row(query.word, length))
+    return products / (1 << length)
+
+
+def gram_matrix(dataset: Dataset) -> np.ndarray:
+    """N x N indicator-kernel matrix over the dataset in input order; 0/1-valued and symmetric."""
+    # Patterns of one dataset share L, so they are equal iff their words are.
+    words = np.frombuffer(dataset.words, dtype=np.uint64)
+    return (words[:, None] == words[None, :]).astype(np.float64)
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """The 2^L basis coefficients estimated from a sample of size N."""
+
+    length: int
+    sample_size: int
+    coefficients: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.coefficients.shape != (1 << self.length,):
+            raise ValueError("coefficient vector must have 2^L entries")
+        self.coefficients.setflags(write=False)
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through the constructor, so a pickled or deep-copied
+        # spectrum's coefficients are read-only again.
+        return Spectrum, (self.length, self.sample_size, self.coefficients)
+
+
+def estimate_coefficients(dataset: Dataset) -> Spectrum:
+    """Average phi_i over the sample, scaled by 1/2^L, for every basis index.
+
+    Materialises each distinct prototype's full 2^L sign row, times its
+    count, in one reused buffer, and adds it to the total in place. Every
+    partial sum is an integer, so the order of the sums cannot change a
+    coefficient.
+    """
+    check_cap(dataset.length)
+    length = dataset.length
+    full = (1 << length) - 1
+    row = np.empty(1 << length)
+    total = np.zeros(1 << length)
+    for word, count in dataset.counts.items():
+        # float(count): an int8 array times a Python int would stay int8.
+        np.multiply(np.frombuffer(sign_bytes(~word & full, length), np.int8), float(count), out=row)
+        total += row
+    total /= dataset.size * (1 << length)
+    return Spectrum(length, dataset.size, total)
+
+
+def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
+    """Reconstruct p(query) as the full coefficient-weighted basis sum."""
+    if spectrum.length != query.length:
+        raise LengthMismatch(
+            f"spectrum length {spectrum.length} != pattern length {query.length}"
+        )
+    return _sum_of_products(sign_row(query.word, spectrum.length), spectrum.coefficients)
+
+
+Direction = Literal["forward", "inverse"]
+
+
+def fast_transform(
+    values: Sequence[float] | np.ndarray, direction: Direction = "forward"
+) -> np.ndarray:
+    """Butterfly evaluation of the sign-product transform in O(L * 2^L).
+
+    forward: T(S) = sum_x f(x) * phi_S(x); inverse divides by 2^L, so
+    inverse(forward(f)) == f. Input length must be a power of two.
+    """
+    # Sized by len(), so an input over the cap is refused before np.array copies it.
+    size = len(values) if getattr(values, "ndim", 1) == 1 else 0
+    if size < 2 or size & (size - 1):
+        raise NotPowerOfTwo(f"transform input length {size} is not 2^L with L >= 1")
+    check_cap(size.bit_length() - 1)
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"unknown direction {direction!r}")
+    data = np.array(values, dtype=np.float64)
+    if data.shape != (size,):
+        raise NotPowerOfTwo(f"transform input of shape {data.shape} is not a vector")
+    return _butterfly(data, direction)
+
+
+def _butterfly(data: np.ndarray, direction: Direction) -> np.ndarray:
+    """fast_transform of a float64 2^L vector, in place, with one temporary half per stage.
+
+    Per coordinate, this basis maps the pair (a, b) at x_p = 0, 1 to
+    (a + b, b - a) going forward, and back with (a - b, a + b) / 2. These
+    are the plain +/- butterfly with the sign flips of odd-order
+    coefficients folded in, and give the same floats, since a negation
+    rounds exactly.
+    """
+    half = 1
+    while half < len(data):
+        blocks = data.reshape(-1, 2 * half)
+        low, high = blocks[:, :half], blocks[:, half:]
+        saved = low.copy()
+        if direction == "forward":
+            np.add(low, high, out=low)
+            np.subtract(high, saved, out=high)
+        else:
+            np.subtract(low, high, out=low)
+            np.add(saved, high, out=high)
+        half *= 2
+    if direction == "inverse":
+        data /= len(data)
+    return data
+
+
+def frequency_vector(dataset: Dataset) -> np.ndarray:
+    """Empirical frequencies over all 2^L patterns, indexed by word."""
+    check_cap(dataset.length)
+    distinct = len(dataset.counts)
+    words = np.fromiter(dataset.counts.keys(), dtype=np.uint64, count=distinct)
+    counts = np.fromiter(dataset.counts.values(), dtype=np.float64, count=distinct)
+    freq = np.zeros(1 << dataset.length, dtype=np.float64)
+    freq[words] = counts
+    freq /= dataset.size
+    return freq
+
+
+def fwht_table(dataset: Dataset) -> np.ndarray:
+    """The fwht estimate of every pattern, indexed by word: the frequencies' round trip."""
+    return _butterfly(_butterfly(frequency_vector(dataset), "forward"), "inverse")
+
+
+def estimate_fwht(dataset: Dataset, query: BitPattern) -> float:
+    """Read p(query) from the fwht round trip of the whole dataset."""
+    if dataset.length != query.length:
+        raise LengthMismatch(
+            f"dataset length {dataset.length} != pattern length {query.length}"
+        )
+    return float(fwht_table(dataset)[query.word])

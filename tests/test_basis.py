@@ -6,25 +6,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diracpmf import (
+from diracpmf import BitPattern, CapExceeded, LengthMismatch, all_patterns
+from diracpmf.verify import (
     BasisIndex,
-    BitPattern,
-    CapExceeded,
-    LengthMismatch,
-    all_patterns,
-    enumerate_basis,
     eval_basis,
+    iter_basis,
     orthogonality_sum,
-    signed_value,
+    sign_column,
+    sign_row,
 )
-from diracpmf.basis import sign_column, sign_row
+
+
+def members(mask: int, length: int) -> tuple[int, ...]:
+    """Participating coordinates of a subset mask, 1-based, ascending."""
+    return tuple(position + 1 for position in range(length) if mask >> position & 1)
 
 
 def product_oracle(index: BasisIndex, pattern: BitPattern) -> int:
     """Definitional product of (2x_l - 1) over the participating coordinates."""
     result = 1
-    for member in index.members:
-        result *= signed_value(pattern, member)
+    for member in members(index.mask, index.length):
+        result *= 2 * pattern.bits[member - 1] - 1
     return result
 
 
@@ -33,11 +35,11 @@ class TestEvalBasis:
         assert eval_basis(BasisIndex(0, 2), BitPattern((0, 1))) == 1
 
     def test_single_factor(self):
-        index = BasisIndex.from_members([1], 2)
+        index = BasisIndex(0b01, 2)
         assert eval_basis(index, BitPattern((1, 0))) == 1
 
     def test_two_factor_product(self):
-        index = BasisIndex.from_members([1, 3], 3)
+        index = BasisIndex(0b101, 3)
         pattern = BitPattern((0, 1, 0))
         assert product_oracle(index, pattern) == 1
         assert eval_basis(index, pattern) == 1
@@ -74,38 +76,37 @@ class TestEvalBasis:
 
 class TestEnumerateBasis:
     def test_length_one(self):
-        table = enumerate_basis(1)
-        assert [entry.mask for entry in table.entries] == [0, 1]
+        assert list(iter_basis(1)) == [0, 1]
 
     def test_by_cardinality_two(self):
-        table = enumerate_basis(2, ordering="by_cardinality")
-        assert [entry.members for entry in table.entries] == [(), (1,), (2,), (1, 2)]
+        masks = list(iter_basis(2, ordering="by_cardinality"))
+        assert [members(mask, 2) for mask in masks] == [(), (1,), (2,), (1, 2)]
 
     def test_by_cardinality_counts_three(self):
-        table = enumerate_basis(3, ordering="by_cardinality")
-        assert len(table.entries) == 8
-        histogram = Counter(entry.order for entry in table.entries)
+        masks = list(iter_basis(3, ordering="by_cardinality"))
+        assert len(masks) == 8
+        histogram = Counter(mask.bit_count() for mask in masks)
         assert [histogram[order] for order in range(4)] == [1, 3, 3, 1]
 
     @pytest.mark.parametrize("length", range(1, 11))
     def test_completeness_and_binomial_histogram(self, length):
-        table = enumerate_basis(length)
-        masks = {entry.mask for entry in table.entries}
-        assert len(masks) == 1 << length
-        histogram = Counter(entry.order for entry in table.entries)
-        for order in range(length + 1):
-            assert histogram[order] == math.comb(length, order)
+        for ordering in ("canonical", "by_cardinality"):
+            masks = list(iter_basis(length, ordering))
+            assert sorted(masks) == list(range(1 << length))
+            histogram = Counter(mask.bit_count() for mask in masks)
+            for order in range(length + 1):
+                assert histogram[order] == math.comb(length, order)
 
     def test_by_cardinality_sorted_within_order(self):
-        table = enumerate_basis(4, ordering="by_cardinality")
-        pairs = [entry for entry in table.entries if entry.order == 2]
-        assert [entry.members for entry in pairs] == [
-            (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)
-        ]
+        masks = iter_basis(4, ordering="by_cardinality")
+        pairs = [members(mask, 4) for mask in masks if mask.bit_count() == 2]
+        assert pairs == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            enumerate_basis(30)
+            iter_basis(30)
+        with pytest.raises(ValueError, match="unknown ordering"):
+            iter_basis(3, "shuffled")
 
 
 class TestOrthogonality:

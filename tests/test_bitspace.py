@@ -12,7 +12,6 @@ from diracpmf import (
     EmptyDataset,
     EmptyInput,
     IllegalCharacter,
-    IndexOutOfRange,
     LengthMismatch,
     LengthOutOfRange,
     RaggedLengths,
@@ -21,7 +20,6 @@ from diracpmf import (
     load_dataset,
     parse_pattern,
     render_pattern,
-    signed_value,
 )
 
 
@@ -55,8 +53,8 @@ class TestParsePattern:
 
     def test_leftmost_is_x1(self):
         pattern = parse_pattern("100")
-        assert signed_value(pattern, 1) == 1
-        assert signed_value(pattern, 2) == -1
+        assert pattern.bits == (1, 0, 0)
+        assert pattern.word == 0b001
 
 
 class TestLoadDataset:
@@ -85,29 +83,6 @@ class TestLoadDataset:
         dataset = load_dataset(lines)
         assert sorted(str(p) for p in dataset) == sorted(lines)
         assert dataset.counts[parse_pattern("01").word] == 3
-
-
-class TestSignedValue:
-    @pytest.mark.parametrize(
-        "text,index,expected",
-        [("0", 1, -1), ("1", 1, 1), ("101", 2, -1), ("101", 3, 1)],
-    )
-    def test_examples(self, text, index, expected):
-        assert signed_value(parse_pattern(text), index) == expected
-
-    def test_index_out_of_range(self):
-        pattern = parse_pattern("10")
-        for bad in (0, 3, -1):
-            with pytest.raises(IndexOutOfRange):
-                signed_value(pattern, bad)
-
-    def test_range_exhaustive_small(self):
-        for length in range(1, 6):
-            for pattern in all_patterns(length):
-                assert all(
-                    signed_value(pattern, l) in (-1, 1)
-                    for l in range(1, length + 1)
-                )
 
 
 def test_round_trip_exhaustive_up_to_ten():
@@ -175,7 +150,7 @@ def test_ingest_matches_reference_parser(text):
     expected = reference_load(lines)
     dataset = load_dataset(io.StringIO(text))
     assert dataset.length == len(expected[0])
-    assert [pattern.bits for pattern in dataset.patterns] == expected
+    assert [pattern.bits for pattern in dataset] == expected
     words = [sum(bit << position for position, bit in enumerate(bits)) for bits in expected]
     assert list(dataset.words) == words
     assert dataset.counts == dict(Counter(words))
@@ -203,17 +178,16 @@ def test_all_ones_round_trip_at_64():
     assert render_pattern(pattern) == text
     dataset = load_dataset([text])
     assert list(dataset.words) == [(1 << 64) - 1]
-    assert dataset.patterns == (pattern,)
-    assert dataset_from_words([(1 << 64) - 1], 64).patterns == (pattern,)
+    assert tuple(dataset) == (pattern,)
+    assert tuple(dataset_from_words([(1 << 64) - 1], 64)) == (pattern,)
     assert BitPattern.from_word(pattern.word, 64) == pattern
 
 
 def test_patterns_keep_input_order():
     lines = ["11", "00", "11", "01"]
     dataset = load_dataset(lines)
-    assert [str(pattern) for pattern in dataset.patterns] == lines
     assert [str(pattern) for pattern in dataset] == lines
-    assert dataset_from_words([3, 0, 3, 2], 2).patterns == dataset.patterns
+    assert tuple(dataset_from_words([3, 0, 3, 2], 2)) == tuple(dataset)
 
 
 def test_equal_datasets_hash_equal():
@@ -259,7 +233,7 @@ def every_route(bits):
         parse_pattern(",".join(text), expected_length=length),
         BitPattern.from_word(word, length),
         next(iter(dataset_from_words([word], length))),
-        load_dataset([text]).patterns[0],
+        next(iter(load_dataset([text]))),
     ]
 
 
@@ -350,4 +324,4 @@ def test_dataset_copies_are_equal(copies):
         assert other == dataset and hash(other) == hash(dataset)
         assert other.counts == dataset.counts
         assert (other.length, other.size, list(other.words)) == (2, 4, [3, 0, 3, 2])
-        assert other.patterns == dataset.patterns
+        assert tuple(other) == tuple(dataset)

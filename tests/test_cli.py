@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from diracpmf import BasisIndex, cli, estimate_coefficients, load_dataset
+from diracpmf import load_dataset, verify
+from diracpmf.verify import estimate_coefficients
 from diracpmf.cli import main
 
 
@@ -132,8 +133,8 @@ class TestBasis:
         ids=["diagonal", "off-diagonal"],
     )
     def test_orthogonality_reports_true_sum(self, capsys, monkeypatch, column, violation):
-        real = cli.sign_column
-        monkeypatch.setattr(cli, "sign_column", lambda mask, length: column(real, mask, length))
+        real = verify.sign_column
+        monkeypatch.setattr(verify, "sign_column", lambda mask, length: column(real, mask, length))
         code, out, _ = run(capsys, "basis", "--length", "2", "--check", "orthogonality")
         assert code == 2
         payload = json.loads(out)
@@ -145,13 +146,12 @@ class TestBasis:
     @pytest.mark.parametrize("flag", ["--json", "--pretty"])
     def test_table_bytes_match_one_dump_of_the_whole_payload(self, capsys, flag, ordering, length):
         # The whole table, ordered by a sort rather than by the streaming generator.
-        indices = [BasisIndex(mask, length) for mask in range(1 << length)]
+        entries = []
+        for mask in range(1 << length):
+            members = [position + 1 for position in range(length) if mask >> position & 1]
+            entries.append({"mask": mask, "order": len(members), "members": members})
         if ordering == "by_cardinality":
-            indices.sort(key=lambda index: (index.order, index.members))
-        entries = [
-            {"mask": index.mask, "order": index.order, "members": list(index.members)}
-            for index in indices
-        ]
+            entries.sort(key=lambda entry: (entry["order"], entry["members"]))
         payload = {"L": length, "ordering": ordering, "entries": entries}
         want = json.dumps(payload, indent=2 if flag == "--pretty" else None) + "\n"
         code, out, _ = run(

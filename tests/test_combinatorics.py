@@ -1,18 +1,13 @@
-import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diracpmf import (
+from diracpmf import BitPattern, CapExceeded, RangeError, all_patterns
+from diracpmf.verify import (
     BasisIndex,
-    BitPattern,
-    CapExceeded,
-    RangeError,
     SignAssignment,
-    all_patterns,
-    check_pascal_identities,
     eval_basis,
     lemma1_sum,
     signed_binomial_row_sum,
@@ -110,28 +105,6 @@ class TestSignedBinomialRowSum:
             signed_binomial_row_sum(-1, 2)
         with pytest.raises(RangeError):
             signed_binomial_row_sum(40, 40)
-
-
-class TestPascalIdentities:
-    @pytest.mark.parametrize("n,r", [(5, 2), (1, 0), (3, 3)])
-    def test_examples(self, n, r):
-        assert check_pascal_identities(n, r)
-
-    def test_worked_value(self):
-        assert math.comb(5, 2) == math.comb(4, 2) + math.comb(4, 1) == 10
-
-    def test_exhaustive_to_thirty(self):
-        for n in range(0, 31):
-            for r in range(0, n + 1):
-                assert check_pascal_identities(n, r)
-
-    def test_range_errors(self):
-        with pytest.raises(RangeError):
-            check_pascal_identities(2, 3)
-        with pytest.raises(RangeError):
-            check_pascal_identities(61, 0)
-        with pytest.raises(RangeError):
-            check_pascal_identities(5, -1)
 
 
 def test_sign_assignment_validation():

@@ -310,25 +310,24 @@ class TestFastTransform:
 class TestGramMatrix:
     def test_distinct_patterns_identity(self):
         dataset = dataset_from_words([0, 1, 2, 3], 2)
-        for method in ("dirac", "sum"):
-            assert np.array_equal(gram_matrix(dataset, method), np.eye(4))
+        assert np.array_equal(gram_matrix(dataset), np.eye(4))
 
     def test_duplicates_all_ones(self):
         dataset = load_dataset(["0", "0"])
-        assert np.array_equal(gram_matrix(dataset, "dirac"), np.ones((2, 2)))
+        assert np.array_equal(gram_matrix(dataset), np.ones((2, 2)))
 
     def test_methods_agree(self):
+        # The basis-product kernel's Gram matrix, entry by entry, is the indicator one.
         rng = random.Random(41)
         for length in range(1, 7):
             dataset = random_dataset(rng, length, 8)
-            assert np.allclose(
-                gram_matrix(dataset, "sum"), gram_matrix(dataset, "dirac"), atol=TOL
-            )
+            by_sums = [[kernel_sum(a, b) for b in dataset] for a in dataset]
+            assert np.allclose(by_sums, gram_matrix(dataset), atol=TOL)
 
     def test_block_structure(self):
         # grouping equal patterns makes a 0/1 block-diagonal matrix
         dataset = load_dataset(["00", "00", "11", "01"])
-        gram = gram_matrix(dataset, "dirac")
+        gram = gram_matrix(dataset)
         assert np.array_equal(gram, gram.T)
         assert set(np.unique(gram)) <= {0.0, 1.0}
         assert np.array_equal(np.diag(gram), np.ones(4))
@@ -341,8 +340,7 @@ class TestGramMatrix:
         lines = ["11", "00", "11", "01", "00"]
         dataset = load_dataset(lines)
         expected = np.array([[float(a == b) for b in lines] for a in lines])
-        for method in ("dirac", "sum"):
-            assert np.array_equal(gram_matrix(dataset, method), expected)
+        assert np.array_equal(gram_matrix(dataset), expected)
 
 
 class TestPmfEstimateBehaviour:
@@ -364,11 +362,30 @@ class TestPmfEstimateBehaviour:
             with pytest.raises(LengthMismatch):
                 other(parse_pattern("0"))
 
-    def test_dirac_copies_compare_equal(self, copies):
-        estimate = PmfEstimate.fit(load_dataset(["01", "01", "11"]), "dirac")
-        for other in copies(estimate):
+    @pytest.mark.parametrize("method", METHODS)
+    def test_copies_compare_equal(self, method, copies):
+        dataset = load_dataset(["01", "01", "11"])
+        estimate = PmfEstimate.fit(dataset, method)
+        for other in [PmfEstimate.fit(load_dataset(["01", "01", "11"]), method), *copies(estimate)]:
             assert other == estimate and hash(other) == hash(estimate)
-        assert estimate != PmfEstimate.fit(load_dataset(["01", "11"]), "dirac")
+        assert estimate != PmfEstimate.fit(load_dataset(["01", "11"]), method)
+        assert len({PmfEstimate.fit(dataset, other) for other in self.METHODS}) == 3
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_arrays_are_read_only(self, method, copies):
+        estimate = PmfEstimate.fit(load_dataset(["01", "01", "11"]), method)
+        queries = list(all_patterns(2))
+        want = [estimate(query) for query in queries]
+        for other in [estimate, *copies(estimate)]:
+            arrays = [
+                array for array in (other.table, getattr(other.spectrum, "coefficients", None))
+                if array is not None
+            ]
+            assert len(arrays) == (method != "dirac")
+            for array in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    array[1] = 1.0
+            assert [other(query) for query in queries] == want
 
     @pytest.mark.parametrize("method", METHODS)
     def test_fields_stay_readable_and_fixed(self, method):

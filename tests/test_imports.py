@@ -63,13 +63,14 @@ def test_fwht_estimate_loads_numpy_and_answers(dataset_file):
 
 def test_every_public_name_is_listed_and_resolves():
     out = run_fresh(
-        "import diracpmf, diracpmf.basis, diracpmf.estimators\n"
+        "import diracpmf, diracpmf.verify, diracpmf.estimators\n"
         "print(sorted(set(diracpmf.__all__) - set(dir(diracpmf))))\n"
         "print(all(getattr(diracpmf, name) is not None for name in diracpmf.__all__))\n"
         "print(hasattr(diracpmf, 'no_such_name'))\n"
         "print(diracpmf.PmfEstimate is diracpmf.estimators.PmfEstimate,"
-        " diracpmf.basis.check_cap is diracpmf.bitspace.check_cap,"
-        " diracpmf.basis.EXHAUSTIVE_CAP == diracpmf.EXHAUSTIVE_CAP)\n"
+        " diracpmf.verify.check_cap is diracpmf.bitspace.check_cap,"
+        " all(getattr(diracpmf, name) is getattr(diracpmf.verify, name)"
+        " for name in diracpmf._VERIFY_NAMES))\n"
     )
     assert out == ["[]", "True", "False", "True True True"]
 
@@ -83,14 +84,21 @@ def test_serving_path_loads_no_dataclasses_or_inspect(dataset_file):
     assert (status, modules) == ("0 False", "[]")
 
 
-def test_oracle_modules_load_on_first_use():
+def test_oracle_modules_load_on_first_use(dataset_file):
+    verify_loaded = "print('diracpmf.verify' in sys.modules)\n"
     out = run_fresh(
         "import sys, diracpmf\n"
-        "print([name in sys.modules for name in ('diracpmf.basis', 'diracpmf.combinatorics')])\n"
-        "from diracpmf import lemma1_sum, SignAssignment, BasisIndex, eval_basis\n"
+        "from diracpmf import *\n"
+        + verify_loaded
+        + estimate_code(dataset_file, "01", "dirac")
+        + verify_loaded
+        + "diracpmf.lemma1_sum\n"
+        + verify_loaded
+        + "from diracpmf import lemma1_sum, SignAssignment, BasisIndex, eval_basis\n"
         "print(lemma1_sum(SignAssignment((1, 1))), eval_basis(BasisIndex(1, 1),"
         " diracpmf.parse_pattern('0')))\n"
-        "import diracpmf.cli\n"
         "print(diracpmf.cli._bench_one_length.__module__)\n"
     )
-    assert out == ["[False, False]", "4 -1", "diracpmf.cli"]
+    assert out[0] == "False"
+    assert json.loads(out[1])["p"] == 2 / 3
+    assert out[2:] == ["0 False", "False", "True", "4 -1", "diracpmf.cli"]

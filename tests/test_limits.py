@@ -13,28 +13,28 @@ import pytest
 
 import diracpmf
 from diracpmf import (
-    BasisIndex,
     BitPattern,
     CapExceeded,
     PmfEstimate,
-    SignAssignment,
-    basis,
     bitspace,
     cli,
-    combinatorics,
     dataset_from_words,
-    enumerate_basis,
+    estimators,
+    verify,
+)
+from diracpmf.cli import main
+from diracpmf.verify import (
+    BasisIndex,
+    SignAssignment,
     estimate_coefficients,
     estimate_fwht,
-    estimators,
     fast_transform,
     frequency_vector,
+    iter_basis,
     kernel_sum,
     lemma1_sum,
     orthogonality_sum,
-    reference,
 )
-from diracpmf.cli import main
 
 REFUSED_25 = r"2\^25 terms requested, at most 2\^24 allowed"
 
@@ -45,7 +45,7 @@ def one_word(length):
 
 #: Every public 2^L walk, called at L.
 WALKS = {
-    "enumerate_basis": lambda length: enumerate_basis(length),
+    "iter_basis": lambda length: iter_basis(length),
     "orthogonality_sum": lambda length: orthogonality_sum(
         BasisIndex(0, length), BasisIndex(0, length)
     ),
@@ -59,9 +59,9 @@ WALKS = {
     ),
     "fit-expansion": lambda length: PmfEstimate.fit(one_word(length), "expansion"),
     "fit-fwht": lambda length: PmfEstimate.fit(one_word(length), "fwht"),
-    "sign_row": lambda length: basis.sign_row(0, length),
-    "sign_column": lambda length: basis.sign_column(0, length),
-    "sign_bytes": lambda length: basis.sign_bytes(0, length),
+    "sign_row": lambda length: verify.sign_row(0, length),
+    "sign_column": lambda length: verify.sign_column(0, length),
+    "sign_bytes": lambda length: verify.sign_bytes(0, length),
 }
 
 
@@ -75,7 +75,7 @@ def stop_after_check(monkeypatch):
     def check_then_stop(length):
         bitspace.check_cap(length)
         raise Accepted
-    for module in (basis, cli, combinatorics, reference):
+    for module in (cli, verify):
         monkeypatch.setattr(module, "check_cap", check_then_stop)
 
 
@@ -165,13 +165,13 @@ def test_basis_table_writes_its_entries_without_holding_them(ordering):
         finally:
             tracemalloc.stop()
     assert code == 0
-    # 1024 entries at a time take ~3 MB; all 2^16 BasisIndex objects, entry
-    # dicts and the whole JSON text would take ~30 MB more.
+    # 1024 entries at a time take ~3 MB; all 2^16 entry dicts and the whole
+    # JSON text would take ~30 MB more.
     assert peak < 8 << 20
 
 
 def test_no_function_takes_a_cap():
-    modules = (diracpmf, basis, combinatorics, estimators, reference)
+    modules = (diracpmf, estimators, verify)
     routines = []
     for module in modules:
         for name in dir(module):
@@ -189,7 +189,7 @@ def test_no_function_takes_a_cap():
 
 
 def test_one_enumeration_constant():
-    modules = (diracpmf, basis, bitspace, cli, combinatorics, estimators, reference)
+    modules = (diracpmf, bitspace, cli, estimators, verify)
     caps = {name for module in modules for name in dir(module) if name.endswith("_CAP")}
     assert caps == {"EXHAUSTIVE_CAP", "BENCH_EXPANSION_CAP"}
     assert diracpmf.EXHAUSTIVE_CAP == 24

@@ -3,8 +3,8 @@ import tracemalloc
 
 import pytest
 
-from diracpmf import BasisIndex, BitPattern, basis, eval_basis
-from diracpmf.basis import sign_row
+from diracpmf import BitPattern, verify
+from diracpmf.verify import BasisIndex, eval_basis, sign_row
 from diracpmf.cli import main
 
 
@@ -52,7 +52,7 @@ def test_sign_vectors_leave_no_array_behind():
             assert row[mask] == eval_basis(BasisIndex(mask, 20), pattern)
         del row
         held = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, basis.__file__)]
+            [tracemalloc.Filter(True, verify.__file__)]
         )
     finally:
         tracemalloc.stop()
