@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
@@ -154,25 +155,33 @@ def _pattern(word: int, length: int) -> BitPattern:
 class Dataset(_Frozen):
     """N prototype patterns of a common length. Duplicates carry weight.
 
-    ``words`` holds the N packed words in input order; ``counts`` maps each
-    distinct word to its multiplicity and backs the O(1) counting
-    estimator. Build one with load_dataset or dataset_from_words.
+    ``words`` holds the N packed words in input order, in a read-only view
+    of the dataset's own copy; ``counts`` maps each distinct word to its
+    multiplicity and backs the O(1) counting estimator. Neither can be
+    changed after the build, so no caller can move a fitted estimate's
+    answer. Build one with load_dataset or dataset_from_words.
     """
 
-    __slots__ = ("words", "length", "counts")
-    words: array
+    __slots__ = ("words", "length", "counts", "_counts")
+    words: memoryview
     length: int
-    counts: dict[int, int]
+    counts: Mapping[int, int]
 
     def __init__(self, words: array, length: int) -> None:
+        if getattr(words, "typecode", None) != "Q":
+            words = array("Q", words)
         if not words:
             raise EmptyDataset("a dataset needs at least one pattern")
         _check_length(length)
         if max(words) >> length:
             raise ValueError(f"a word does not fit in {length} bits")
-        object.__setattr__(self, "words", words)
+        counts = dict(Counter(words))
+        # Copied once the Counter is freed, so the copy adds nothing to the
+        # build's peak memory; a view over bytes cannot be written through.
+        object.__setattr__(self, "words", memoryview(words.tobytes()).cast("Q"))
         object.__setattr__(self, "length", length)
-        object.__setattr__(self, "counts", dict(Counter(words)))
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "counts", MappingProxyType(counts))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -183,10 +192,10 @@ class Dataset(_Frozen):
         return hash((self.length, self.words.tobytes()))
 
     def __reduce__(self) -> tuple:
-        return Dataset, (self.words, self.length)
+        return Dataset, (array("Q", self.words.tobytes()), self.length)
 
     def __repr__(self) -> str:
-        return f"Dataset(words={self.words!r}, length={self.length!r})"
+        return f"Dataset(words={array('Q', self.words.tobytes())!r}, length={self.length!r})"
 
     @property
     def size(self) -> int:

@@ -75,7 +75,7 @@ class PmfEstimate(_Frozen):
             table.setflags(write=False)
         for name, value in (
             ("method", method), ("dataset", dataset), ("spectrum", spectrum), ("table", table),
-            ("_query", query), ("_length", dataset.length), ("_counts", dataset.counts),
+            ("_query", query), ("_length", dataset.length), ("_counts", dataset._counts),
             ("_size", dataset.size),
         ):
             object.__setattr__(self, name, value)

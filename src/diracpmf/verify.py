@@ -138,11 +138,29 @@ def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
     return float(np.add.reduce(row))
 
 
+def _sum_of_sign_products(signs: bytes, other: bytes) -> int:
+    """sum(a * b) over two equally long int8 vectors of +1/-1 bytes, exactly.
+
+    The products are +1 or -1, so the sum is the length less twice the
+    number of -1 products; they are counted in C, with no float64 copy.
+    """
+    products = np.frombuffer(signs, np.int8) * np.frombuffer(other, np.int8)
+    return len(signs) - 2 * int(np.count_nonzero(products < 0))
+
+
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
-    """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation."""
+    """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation.
+
+    The two int8 sign columns are multiplied point by point, and every one
+    of the 2^L products is counted.
+    """
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
-    return int(_sum_of_products(sign_column(i.mask, i.length), sign_column(k.mask, k.length)))
+    first_i = -1 if i.mask.bit_count() & 1 else 1
+    first_k = -1 if k.mask.bit_count() & 1 else 1
+    return _sum_of_sign_products(
+        sign_bytes(i.mask, i.length, first_i), sign_bytes(k.mask, k.length, first_k)
+    )
 
 
 @dataclass(frozen=True)
@@ -179,19 +197,16 @@ class SignAssignment:
 def lemma1_sum(assignment: SignAssignment) -> int:
     """Brute-force sum of all 2^L subset products of the sign variables.
 
-    The subset product is (-1)^(number of -1 entries selected), accumulated
-    over every subset mask; exact integer arithmetic.
+    The Kronecker product of the pairs (1, a_p) lists every subset product
+    (-1)^(number of -1 entries selected) exactly once, in subset-mask order:
+    it is the sign pattern flipped at the -1 variables. The sum counts its
+    +1 bytes; exact integer arithmetic, no numpy.
     """
-    length = assignment.length
-    check_cap(length)
     minus_mask = 0
     for position, value in enumerate(assignment.values):
         if value == -1:
             minus_mask |= 1 << position
-    total = 0
-    for subset in range(1 << length):
-        total += -1 if (subset & minus_mask).bit_count() & 1 else 1
-    return total
+    return 2 * sign_bytes(minus_mask, assignment.length).count(1) - (1 << assignment.length)
 
 
 def signed_binomial_row_sum(minus_count: int, plus_count: int) -> int:
@@ -234,7 +249,10 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
     """
     _require_equal_length(prototype, query)
     length = prototype.length
-    products = _sum_of_products(sign_row(prototype.word, length), sign_row(query.word, length))
+    full = (1 << length) - 1
+    products = _sum_of_sign_products(
+        sign_bytes(~prototype.word & full, length), sign_bytes(~query.word & full, length)
+    )
     return products / (1 << length)
 
 
@@ -245,9 +263,13 @@ def gram_matrix(dataset: Dataset) -> np.ndarray:
     return (words[:, None] == words[None, :]).astype(np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The 2^L basis coefficients estimated from a sample of size N."""
+    """The 2^L basis coefficients estimated from a sample of size N.
+
+    Two spectra are equal when their lengths, sample sizes and every
+    coefficient are.
+    """
 
     length: int
     sample_size: int
@@ -258,29 +280,88 @@ class Spectrum:
             raise ValueError("coefficient vector must have 2^L entries")
         self.coefficients.setflags(write=False)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.length, self.sample_size) == (other.length, other.sample_size)
+            and np.array_equal(self.coefficients, other.coefficients)
+        )
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal to it.
+        return hash((self.length, self.sample_size, (self.coefficients + 0.0).tobytes()))
+
     def __reduce__(self) -> tuple:
         # Rebuilt through the constructor, so a pickled or deep-copied
         # spectrum's coefficients are read-only again.
         return Spectrum, (self.length, self.sample_size, self.coefficients)
 
 
+#: Sign rows built and summed together: their int8 column sums stay within +-8.
+_BLOCK_ROWS = 8
+#: Counts up to this ride in the int8 rows themselves: a column sum stays within +-127.
+_INT8_COUNT = 127 // _BLOCK_ROWS
+#: Entries a block's column sums are scaled by a larger count in, through one float64 scratch.
+_SCALE_CHUNK = 1024
+
+
 def estimate_coefficients(dataset: Dataset) -> Spectrum:
     """Average phi_i over the sample, scaled by 1/2^L, for every basis index.
 
-    Materialises each distinct prototype's full 2^L sign row, times its
-    count, in one reused buffer, and adds it to the total in place. Every
-    partial sum is an integer, so the order of the sums cannot change a
-    coefficient.
+    Each distinct prototype's full 2^L sign row is built in int8, _BLOCK_ROWS
+    prototypes of one count at a time, in one block allocated per fit: the
+    words wait in a queue per count until it fills, and the leftover queues
+    are flushed at the end. A row starts at its count (at most _INT8_COUNT;
+    at 1 above that), and L in-place doublings, each a multiply by one
+    coordinate's sign, build the rest. The block's int8 column sums, times
+    a count too large for int8, are added to the float64 total. Every
+    partial sum is an integer, so neither the grouping nor the order of the
+    sums can change a coefficient. The working set is the total and the
+    block, 16 bytes per basis index, whatever the sample; no BLAS call and
+    no butterfly.
     """
     check_cap(dataset.length)
     length = dataset.length
-    full = (1 << length) - 1
-    row = np.empty(1 << length)
+    block = np.empty((_BLOCK_ROWS, 1 << length), np.int8)
+    scaled = np.empty(min(_SCALE_CHUNK, 1 << length))
     total = np.zeros(1 << length)
+    shifts = np.arange(length, dtype=np.uint64)
+
+    def add(words: list[int], count: int) -> None:
+        rows = block[:len(words)]
+        # signs[r, p] is +1 where x_p = 1 in word r and -1 where x_p = 0:
+        # adding coordinate p to a subset multiplies its phi by it.
+        signs = (np.array(words, np.uint64)[:, None] >> shifts & 1).astype(np.int8)
+        signs += signs - 1
+        rows[:, 0] = count if count <= _INT8_COUNT else 1
+        half = 1
+        for position in range(length):
+            np.multiply(rows[:, :half], signs[:, position:position + 1], out=rows[:, half:2 * half])
+            half *= 2
+        # The column sums gather in the first row, in int8.
+        sums = rows[0]
+        for row in rows[1:]:
+            sums += row
+        if count <= _INT8_COUNT:
+            np.add(total, sums, out=total)
+            return
+        for start in range(0, len(sums), len(scaled)):
+            part = scaled[:len(sums) - start]
+            # float(count): an int8 array times a Python int would stay int8.
+            np.multiply(sums[start:start + len(part)], float(count), out=part)
+            total[start:start + len(part)] += part
+
+    queues: dict[int, list[int]] = {}
     for word, count in dataset.counts.items():
-        # float(count): an int8 array times a Python int would stay int8.
-        np.multiply(np.frombuffer(sign_bytes(~word & full, length), np.int8), float(count), out=row)
-        total += row
+        queue = queues.setdefault(count, [])
+        queue.append(word)
+        if len(queue) == _BLOCK_ROWS:
+            add(queue, count)
+            queue.clear()
+    for count, queue in queues.items():
+        if queue:
+            add(queue, count)
     total /= dataset.size * (1 << length)
     return Spectrum(length, dataset.size, total)
 
