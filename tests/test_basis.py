@@ -139,6 +139,17 @@ class TestOrthogonality:
                 == expected
             )
 
+    def test_random_pairs_match_literal_point_products(self):
+        rng = random.Random(23)
+        for length in [*range(1, 13), *(rng.randint(9, 12) for _ in range(4))]:
+            i = BasisIndex(rng.getrandbits(length), length)
+            k = BasisIndex(rng.choice((i.mask, rng.getrandbits(length))), length)
+            total = sum(
+                product_oracle(i, pattern) * product_oracle(k, pattern)
+                for pattern in all_patterns(length)
+            )
+            assert orthogonality_sum(i, k) == total
+
     def test_errors(self):
         with pytest.raises(LengthMismatch):
             orthogonality_sum(BasisIndex(0, 2), BasisIndex(0, 3))

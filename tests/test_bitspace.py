@@ -14,6 +14,7 @@ from diracpmf import (
     IllegalCharacter,
     LengthMismatch,
     LengthOutOfRange,
+    PmfEstimate,
     RaggedLengths,
     all_patterns,
     dataset_from_words,
@@ -325,3 +326,28 @@ def test_dataset_copies_are_equal(copies):
         assert other.counts == dataset.counts
         assert (other.length, other.size, list(other.words)) == (2, 4, [3, 0, 3, 2])
         assert tuple(other) == tuple(dataset)
+
+
+def test_dataset_words_and_counts_cannot_be_changed():
+    dataset = load_dataset(["01", "01", "11"])
+    estimate = PmfEstimate.fit(dataset, "dirac")
+    query = parse_pattern("01")
+    with pytest.raises(TypeError):
+        dataset.counts[query.word] = 3
+    with pytest.raises(TypeError):
+        del dataset.counts[query.word]
+    with pytest.raises(TypeError):
+        dataset.words[0] = 3
+    assert estimate(query) == 2 / 3
+    assert list(dataset.words) == [2, 2, 3]
+    assert dataset.counts == {2: 2, 3: 1}
+
+
+def test_dataset_keeps_its_own_copy_of_the_words():
+    words = array("Q", [2, 2, 3])
+    dataset = Dataset(words, 2)
+    words[0] = 3
+    words.append(1)
+    assert list(dataset.words) == [2, 2, 3]
+    assert dataset.counts == {2: 2, 3: 1}
+    assert dataset == load_dataset(["01", "01", "11"])

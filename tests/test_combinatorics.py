@@ -55,6 +55,19 @@ class TestLemma1Sum:
         with pytest.raises(CapExceeded):
             lemma1_sum(SignAssignment((1,) * 25))
 
+    def test_random_assignments_match_literal_subset_products(self):
+        rng = random.Random(21)
+        for length in [*range(1, 13), *(rng.randint(9, 12) for _ in range(8))]:
+            values = tuple(rng.choice((-1, 1)) for _ in range(length))
+            total = 0
+            for subset in range(1 << length):
+                product = 1
+                for position in range(length):
+                    if subset >> position & 1:
+                        product *= values[position]
+                total += product
+            assert lemma1_sum(SignAssignment(values)) == total
+
     def test_bridge_to_kernel_products(self):
         # a_l = (2x_jl - 1)(2x_l - 1) turns the lemma sum into the
         # basis-product sum over all subsets

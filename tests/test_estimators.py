@@ -13,6 +13,7 @@ from diracpmf import (
     LengthMismatch,
     NotPowerOfTwo,
     PmfEstimate,
+    Spectrum,
     all_patterns,
     dataset_from_words,
     estimate_coefficients,
@@ -148,19 +149,60 @@ class TestCoefficients:
             )
             assert spectrum.coefficients[mask] == total / (dataset.size * (1 << length))
 
-    @pytest.mark.parametrize("length, distinct", [(14, 1), (14, 9), (14, 5000), (14, 16384), (18, 3)])
-    def test_peak_memory_does_not_grow_with_distinct_words(self, length, distinct):
+    @pytest.mark.parametrize(
+        "length, counts",
+        [
+            # Counts on both sides of the largest an int8 block row carries
+            # (15) and of int8's own range (127), and 2^L below a block.
+            pytest.param(1, [128, 1], id="L1-over-int8"),
+            pytest.param(2, [1, 3, 3, 300], id="L2-under-a-block"),
+            pytest.param(6, [2] * 19 + [1] * 17, id="more-words-of-a-count-than-a-block"),
+            pytest.param(8, [1 + 7 * i for i in range(40)], id="many-count-values"),
+            pytest.param(11, [15, 16, 127, 128, 2000] * 8, id="full-blocks-of-counts-up-to-2000"),
+        ],
+    )
+    def test_block_edges_equal_per_word_basis_sum(self, length, counts):
+        rng = random.Random(length)
+        words = rng.sample(range(1 << length), len(counts))
+        dataset = dataset_from_words(
+            [word for word, count in zip(words, counts) for _ in range(count)], length
+        )
+        spectrum = estimate_coefficients(dataset)
+        patterns = [BitPattern.from_word(word, length) for word in words]
+        for mask in range(1 << length):
+            index = BasisIndex(mask, length)
+            total = sum(
+                count * eval_basis(index, pattern) for pattern, count in zip(patterns, counts)
+            )
+            assert spectrum.coefficients[mask] == total / (dataset.size * (1 << length))
+
+    @pytest.mark.parametrize(
+        "length, distinct, count",
+        [
+            pytest.param(length, distinct, lambda i: 1, id=f"{length}-{distinct}")
+            for length, distinct in [(14, 1), (14, 9), (14, 5000), (14, 16384), (18, 3)]
+        ]
+        + [
+            pytest.param(14, 16384, lambda i: 3, id="14-16384-each-thrice"),
+            pytest.param(14, 5000, lambda i: 1 + i % 40, id="14-5000-mixed-counts"),
+        ],
+    )
+    def test_peak_memory_does_not_grow_with_distinct_words(self, length, distinct, count):
         rng = random.Random(distinct)
-        dataset = dataset_from_words(rng.sample(range(1 << length), distinct), length)
+        words = rng.sample(range(1 << length), distinct)
+        dataset = dataset_from_words(
+            [word for i, word in enumerate(words) for _ in range(count(i))], length
+        )
         tracemalloc.start()
         try:
             estimate_coefficients(dataset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The coefficients and one reused float64 row, the int8 sign pattern
-        # while it doubles (2 B an entry at most), numpy's buffer for the
-        # int8 -> float64 cast (8192 entries) and a few small objects.
+        # The float64 coefficients and the int8 block of 8 sign rows (8 B an
+        # entry each), 1024 float64 entries of scratch for counts over 15,
+        # numpy's buffer for the int8 -> float64 cast (8192 entries) and a
+        # few small objects.
         assert peak <= 2 * (8 << length) + (2 << length) + (64 << 10) + 4096
 
     def test_bound_and_integrality(self):
@@ -172,6 +214,25 @@ class TestCoefficients:
             scaled = spectrum.coefficients * size * (1 << length)
             assert np.all(np.abs(spectrum.coefficients) <= 1.0 / (1 << length) + TOL)
             assert np.allclose(scaled, np.round(scaled), atol=1e-9)
+
+
+class TestSpectrum:
+    def test_equal_spectra_compare_and_hash_equal(self, copies):
+        dataset = load_dataset(["01", "01", "11"])
+        spectrum = estimate_coefficients(dataset)
+        for other in [estimate_coefficients(dataset), *copies(spectrum)]:
+            assert type(other) is Spectrum
+            assert other == spectrum and hash(other) == hash(spectrum)
+            assert not other.coefficients.flags.writeable
+        assert spectrum != estimate_coefficients(load_dataset(["01", "11"]))
+        assert spectrum != Spectrum(2, 4, spectrum.coefficients.copy())
+        assert spectrum != "spectrum"
+        assert len({spectrum, *copies(spectrum)}) == 1
+
+    def test_signed_zeros_hash_equal(self):
+        zeros = Spectrum(1, 1, np.array([0.0, 0.0]))
+        negative = Spectrum(1, 1, np.array([0.0, -0.0]))
+        assert zeros == negative and hash(zeros) == hash(negative)
 
 
 class TestEstimates:
