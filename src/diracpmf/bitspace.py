@@ -5,13 +5,14 @@ character of a text pattern is x_1, and internally bit l-1 of the packed
 word holds x_l, so L <= 64 patterns fit one machine word.
 
 Ingestion is words-first: text is validated and packed straight into a
-word, and a dataset stores only its words. BitPattern objects are built
-when a caller asks for one.
+word, and a dataset stores only how often each word occurs. BitPattern
+objects are built when a caller asks for one.
 """
 from __future__ import annotations
 
-from array import array
 from collections import Counter
+from itertools import repeat
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -46,12 +47,6 @@ def check_cap(length: int) -> None:
         raise LengthOutOfRange(f"length {length} must be >= 1")
     if length > EXHAUSTIVE_CAP:
         raise CapExceeded(f"2^{length} terms requested, at most 2^{EXHAUSTIVE_CAP} allowed")
-
-
-def _check_word(word: int, length: int) -> None:
-    _check_length(length)
-    if word < 0 or word >> length:
-        raise ValueError(f"word {word} does not fit in {length} bits")
 
 
 def _pack(text: str) -> tuple[str, int]:
@@ -118,7 +113,9 @@ class BitPattern(_Frozen):
     @classmethod
     def from_word(cls, word: int, length: int) -> BitPattern:
         """Unpack an integer whose bit l-1 is x_l."""
-        _check_word(word, length)
+        _check_length(length)
+        if word < 0 or word >> length:
+            raise ValueError(f"word {word} does not fit in {length} bits")
         return _pattern(int(word), length)
 
     def __eq__(self, other: object) -> bool:
@@ -153,57 +150,59 @@ def _pattern(word: int, length: int) -> BitPattern:
 
 
 class Dataset(_Frozen):
-    """N prototype patterns of a common length. Duplicates carry weight.
+    """N prototype patterns of a common length, held as their count map.
 
-    ``words`` holds the N packed words in input order, in a read-only view
-    of the dataset's own copy; ``counts`` maps each distinct word to its
-    multiplicity and backs the O(1) counting estimator. Neither can be
-    changed after the build, so no caller can move a fitted estimate's
-    answer. Build one with load_dataset or dataset_from_words.
+    ``counts`` maps each distinct packed word to its multiplicity, read-only,
+    and ``size``, N, is the sum of the counts. No input order is kept: a
+    dataset is a multiset, equal to another of the same length and counts,
+    and iterates each pattern count times in word order. Build one with
+    load_dataset, dataset_from_words or ``Dataset(counts, length)``, which
+    keeps its own copy of the mapping.
     """
 
-    __slots__ = ("words", "length", "counts", "_counts")
-    words: memoryview
+    __slots__ = ("length", "size", "counts", "_counts")
     length: int
+    size: int
     counts: Mapping[int, int]
 
-    def __init__(self, words: array, length: int) -> None:
-        if getattr(words, "typecode", None) != "Q":
-            words = array("Q", words)
-        if not words:
+    def __init__(self, counts: Mapping[int, int], length: int) -> None:
+        counts = dict(zip(map(index, counts), map(index, counts.values())))
+        if not counts:
             raise EmptyDataset("a dataset needs at least one pattern")
         _check_length(length)
-        if max(words) >> length:
-            raise ValueError(f"a word does not fit in {length} bits")
-        counts = dict(Counter(words))
-        # Copied once the Counter is freed, so the copy adds nothing to the
-        # build's peak memory; a view over bytes cannot be written through.
-        object.__setattr__(self, "words", memoryview(words.tobytes()).cast("Q"))
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "_counts", counts)
-        object.__setattr__(self, "counts", MappingProxyType(counts))
+        low, high = min(counts), max(counts)
+        if low < 0 or high >> length:
+            raise ValueError(f"word {low if low < 0 else high} does not fit in {length} bits")
+        if min(counts.values()) < 1:
+            raise ValueError(f"count {min(counts.values())} is not positive")
+        _fill(self, counts, length)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.length == other.length and self.words == other.words
+        return self.length == other.length and self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash((self.length, self.words.tobytes()))
+        return hash((self.length, frozenset(self._counts.items())))
 
     def __reduce__(self) -> tuple:
-        return Dataset, (array("Q", self.words.tobytes()), self.length)
+        return Dataset, (self._counts, self.length)
 
     def __repr__(self) -> str:
-        return f"Dataset(words={array('Q', self.words.tobytes())!r}, length={self.length!r})"
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
+        return f"Dataset(counts={self._counts!r}, length={self.length!r})"
 
     def __iter__(self) -> Iterator[BitPattern]:
         length = self.length
-        return (_pattern(word, length) for word in self.words)
+        for word, count in sorted(self._counts.items()):
+            yield from repeat(_pattern(word, length), count)
+
+
+def _fill(dataset: Dataset, counts: dict[int, int], length: int) -> None:
+    """Set a dataset's fields from a checked count map, which it keeps uncopied."""
+    object.__setattr__(dataset, "length", length)
+    object.__setattr__(dataset, "size", sum(counts.values()))
+    object.__setattr__(dataset, "_counts", counts)
+    object.__setattr__(dataset, "counts", MappingProxyType(counts))
 
 
 def parse_pattern(text: str, expected_length: int | None = None) -> BitPattern:
@@ -228,8 +227,8 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     ``text.splitlines()``. Raises with the offending line number on bad
     input and RaggedLengths on mixed pattern lengths.
     """
-    words = array("Q")
-    append = words.append
+    counts: dict[int, int] = {}
+    get = counts.get
     length: int | None = None
     for line_number, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -246,10 +245,12 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
                     f"{len(digits)}, expected {length}"
                 )
             length = len(digits)
-        append(word)
+        counts[word] = get(word, 0) + 1
     if length is None:
         raise EmptyDataset("no pattern lines in input")
-    return Dataset(words, length)
+    dataset = object.__new__(Dataset)
+    _fill(dataset, counts, length)
+    return dataset
 
 
 def all_patterns(length: int) -> Iterator[BitPattern]:
@@ -259,8 +260,6 @@ def all_patterns(length: int) -> Iterator[BitPattern]:
         yield _pattern(word, length)
 
 
-def dataset_from_words(words: Sequence[int], length: int) -> Dataset:
-    """A dataset of the given packed words, after checking each fits L bits."""
-    for word in words:
-        _check_word(word, length)
-    return Dataset(array("Q", words), length)
+def dataset_from_words(words: Iterable[int], length: int) -> Dataset:
+    """A dataset of the given packed words; each must fit L bits."""
+    return Dataset(Counter(words), length)

@@ -297,6 +297,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ) from None
     if not lengths:
         raise DiracPmfError("--length must list at least one L")
+    for flag, value in (("--samples", args.samples), ("--queries", args.queries)):
+        if value < 0:
+            raise DiracPmfError(f"{flag} must be >= 0, got {value}")
     reports = []
     all_agree = True
     for length in lengths:

@@ -69,13 +69,28 @@ class PmfEstimate(_Frozen):
         query = _QUERIES.get(method)
         if query is None:
             raise ValueError(f"unknown estimation method {method!r}")
+        # Each method takes its own array and no other, checked here so a
+        # wrong one fails now rather than at, or silently in, a query.
+        length = dataset.length
+        if method == "expansion":
+            valid = table is None and isinstance(spectrum, _verify().Spectrum) and (
+                spectrum.length == length
+            )
+            wants = "a Spectrum of that L and no table"
+        elif method == "fwht":
+            valid = spectrum is None and getattr(table, "shape", None) == (1 << length,)
+            wants = f"a table of shape ({1 << length},) and no spectrum"
+        else:
+            valid, wants = spectrum is None and table is None, "neither a spectrum nor a table"
+        if not valid:
+            raise ValueError(f"a {method} estimate of L={length} takes {wants}")
         if table is not None:
             # Read-only, so no caller can change a later answer; a pickled or
             # copied estimate is rebuilt through here and stays read-only too.
             table.setflags(write=False)
         for name, value in (
             ("method", method), ("dataset", dataset), ("spectrum", spectrum), ("table", table),
-            ("_query", query), ("_length", dataset.length), ("_counts", dataset._counts),
+            ("_query", query), ("_length", length), ("_counts", dataset._counts),
             ("_size", dataset.size),
         ):
             object.__setattr__(self, name, value)

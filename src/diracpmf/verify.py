@@ -257,9 +257,10 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
 
 
 def gram_matrix(dataset: Dataset) -> np.ndarray:
-    """N x N indicator-kernel matrix over the dataset in input order; 0/1-valued and symmetric."""
+    """N x N indicator-kernel matrix in the dataset's word order; 0/1, symmetric, block-diagonal."""
     # Patterns of one dataset share L, so they are equal iff their words are.
-    words = np.frombuffer(dataset.words, dtype=np.uint64)
+    distinct, counts = zip(*sorted(dataset.counts.items()))
+    words = np.repeat(np.array(distinct, dtype=np.uint64), counts)
     return (words[:, None] == words[None, :]).astype(np.float64)
 
 

@@ -1,9 +1,10 @@
 import io
-from array import array
+import tracemalloc
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diracpmf import (
@@ -18,6 +19,7 @@ from diracpmf import (
     RaggedLengths,
     all_patterns,
     dataset_from_words,
+    gram_matrix,
     load_dataset,
     parse_pattern,
     render_pattern,
@@ -151,10 +153,11 @@ def test_ingest_matches_reference_parser(text):
     expected = reference_load(lines)
     dataset = load_dataset(io.StringIO(text))
     assert dataset.length == len(expected[0])
-    assert [pattern.bits for pattern in dataset] == expected
     words = [sum(bit << position for position, bit in enumerate(bits)) for bits in expected]
-    assert list(dataset.words) == words
     assert dataset.counts == dict(Counter(words))
+    assert dataset.size == len(expected)
+    assert [pattern.bits for pattern in dataset] == sorted(expected, key=reference_word)
+    assert [pattern.word for pattern in dataset] == sorted(words)
     for line in lines:
         if line.strip() and not line.strip().startswith("#"):
             pattern = parse_pattern(line, expected_length=dataset.length)
@@ -178,24 +181,37 @@ def test_all_ones_round_trip_at_64():
     assert pattern.bits == (1,) * 64
     assert render_pattern(pattern) == text
     dataset = load_dataset([text])
-    assert list(dataset.words) == [(1 << 64) - 1]
+    assert dataset.counts == {(1 << 64) - 1: 1} and dataset.size == 1
     assert tuple(dataset) == (pattern,)
     assert tuple(dataset_from_words([(1 << 64) - 1], 64)) == (pattern,)
+    assert Dataset({(1 << 64) - 1: 1}, 64) == dataset
     assert BitPattern.from_word(pattern.word, 64) == pattern
 
 
-def test_patterns_keep_input_order():
+def test_patterns_iterate_in_word_order():
     lines = ["11", "00", "11", "01"]
     dataset = load_dataset(lines)
-    assert [str(pattern) for pattern in dataset] == lines
+    # Words 3, 0, 3, 2: each distinct pattern, count times, by word.
+    assert [str(pattern) for pattern in dataset] == ["00", "01", "11", "11"]
     assert tuple(dataset_from_words([3, 0, 3, 2], 2)) == tuple(dataset)
+    assert tuple(dataset_from_words([2, 3, 0, 3], 2)) == tuple(dataset)
+    assert tuple(Dataset({3: 2, 2: 1, 0: 1}, 2)) == tuple(dataset)
 
 
 def test_equal_datasets_hash_equal():
-    dataset = load_dataset(["11", "00", "01"])
-    assert dataset == dataset_from_words([3, 0, 2], 2)
-    assert hash(dataset) == hash(dataset_from_words([3, 0, 2], 2))
-    assert dataset != dataset_from_words([0, 3, 2], 2)
+    dataset = load_dataset(["11", "00", "01", "11"])
+    for same in (
+        dataset_from_words([3, 0, 2, 3], 2),
+        dataset_from_words([0, 3, 3, 2], 2),
+        Dataset({2: 1, 3: 2, 0: 1}, 2),
+    ):
+        assert dataset == same and hash(dataset) == hash(same)
+    # A dataset is a multiset: a count, a word or the length tells two apart.
+    assert dataset != dataset_from_words([3, 0, 2], 2)
+    assert dataset != dataset_from_words([3, 0, 2, 2], 2)
+    assert dataset != dataset_from_words([3, 0, 1, 3], 2)
+    assert dataset != dataset_from_words([3, 0, 2, 3], 3)
+    assert dataset != dataset.counts
 
 
 def test_ragged_lengths_carry_line_number():
@@ -211,8 +227,8 @@ def test_dataset_from_words_range_checks():
         dataset_from_words([0], 65)
     with pytest.raises(EmptyDataset):
         dataset_from_words([], 3)
-    with pytest.raises(ValueError, match="does not fit in 2 bits"):
-        Dataset(array("Q", [1, 5]), 2)
+    with pytest.raises(ValueError, match="^word 5 does not fit in 2 bits$"):
+        Dataset({1: 1, 5: 2}, 2)
 
 
 # A pattern is its (word, length); these check it against the bits tuple it
@@ -323,9 +339,10 @@ def test_dataset_copies_are_equal(copies):
     for other in copies(dataset):
         assert type(other) is Dataset
         assert other == dataset and hash(other) == hash(dataset)
-        assert other.counts == dataset.counts
-        assert (other.length, other.size, list(other.words)) == (2, 4, [3, 0, 3, 2])
+        assert other.counts == dataset.counts == {3: 2, 0: 1, 2: 1}
+        assert (other.length, other.size) == (2, 4)
         assert tuple(other) == tuple(dataset)
+        assert other.counts is not dataset.counts
 
 
 def test_dataset_words_and_counts_cannot_be_changed():
@@ -336,18 +353,122 @@ def test_dataset_words_and_counts_cannot_be_changed():
         dataset.counts[query.word] = 3
     with pytest.raises(TypeError):
         del dataset.counts[query.word]
-    with pytest.raises(TypeError):
-        dataset.words[0] = 3
+    with pytest.raises(AttributeError):
+        dataset.counts.update({3: 5})
+    # The count map is the only copy of the words; there is no second one.
+    assert not hasattr(dataset, "words")
     assert estimate(query) == 2 / 3
-    assert list(dataset.words) == [2, 2, 3]
-    assert dataset.counts == {2: 2, 3: 1}
+    assert [str(pattern) for pattern in dataset] == ["01", "01", "11"]
+    assert dataset.counts == {2: 2, 3: 1} and dataset.size == 3
 
 
 def test_dataset_keeps_its_own_copy_of_the_words():
-    words = array("Q", [2, 2, 3])
-    dataset = Dataset(words, 2)
+    words = [2, 2, 3]
+    from_words = dataset_from_words(words, 2)
+    counts = {2: 2, 3: 1}
+    from_counts = Dataset(counts, 2)
     words[0] = 3
     words.append(1)
-    assert list(dataset.words) == [2, 2, 3]
-    assert dataset.counts == {2: 2, 3: 1}
-    assert dataset == load_dataset(["01", "01", "11"])
+    counts[2] = 7
+    counts[1] = 1
+    for dataset in (from_words, from_counts):
+        assert dataset.counts == {2: 2, 3: 1} and dataset.size == 3
+        assert dataset == load_dataset(["01", "01", "11"])
+
+
+
+@pytest.mark.parametrize(
+    "counts, length, error, match",
+    [
+        ({}, 3, EmptyDataset, "at least one pattern"),
+        ({0: 1}, 0, LengthOutOfRange, "outside 1..64"),
+        ({0: 1}, 65, LengthOutOfRange, "outside 1..64"),
+        ({0: 1}, 2.0, TypeError, "float"),
+        ({0: 1, 4: 1}, 2, ValueError, "^word 4 does not fit in 2 bits$"),
+        ({-1: 1, 1: 1}, 2, ValueError, "^word -1 does not fit in 2 bits$"),
+        ({1 << 64: 1}, 64, ValueError, f"^word {1 << 64} does not fit in 64 bits$"),
+        ({1.0: 1}, 2, TypeError, "float"),
+        ({0: 1, 3: 0}, 2, ValueError, "^count 0 is not positive$"),
+        ({0: 1, 2: -2}, 2, ValueError, "^count -2 is not positive$"),
+        ({0: 1.5}, 2, TypeError, "float"),
+        ({0: "1"}, 2, TypeError, "str"),
+    ],
+)
+def test_dataset_from_counts_refuses_bad_input(counts, length, error, match):
+    with pytest.raises(error, match=match):
+        Dataset(counts, length)
+
+
+@pytest.mark.parametrize("wrap", [dict, Counter, MappingProxyType])
+def test_dataset_from_counts_keeps_its_own_copy(wrap):
+    mine = {3: 2, 0: 1}
+    dataset = Dataset(wrap(mine), 2)
+    mine[3] = 5
+    mine[1] = 1
+    del mine[0]
+    assert dataset.counts == {3: 2, 0: 1} and dataset.size == 3
+    assert dataset == load_dataset(["11", "00", "11"])
+    assert type(next(iter(dataset.counts))) is int
+
+
+@pytest.mark.parametrize(
+    "counts, length",
+    [
+        ({0: 1}, 1),
+        ({(1 << 64) - 1: 3, 0: 1}, 64),
+        ({word: word % 7 + 1 for word in range(0, 1 << 16, 97)}, 16),
+        ({5: 10**20}, 3),
+    ],
+)
+def test_dataset_round_trips(counts, length, copies):
+    dataset = Dataset(counts, length)
+    assert dataset.size == sum(counts.values())
+    for other in [*copies(dataset), eval(repr(dataset))]:
+        assert type(other) is Dataset
+        assert other == dataset and hash(other) == hash(dataset)
+        assert (other.counts, other.length, other.size) == (counts, length, dataset.size)
+        assert type(other.counts) is MappingProxyType
+        if dataset.size < 10**6:
+            assert list(other) == list(dataset)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 8).flatmap(
+    lambda length: st.tuples(
+        st.just(length), st.lists(st.integers(0, (1 << length) - 1), min_size=1, max_size=30)
+    )
+), st.randoms(use_true_random=False))
+def test_word_order_does_not_matter(case, rng):
+    length, words = case
+    shuffled = list(words)
+    rng.shuffle(shuffled)
+    dataset, permuted = dataset_from_words(words, length), dataset_from_words(shuffled, length)
+    text = [format(word, f"0{length}b")[::-1] for word in shuffled]
+    for other in (permuted, load_dataset(text)):
+        assert other == dataset and hash(other) == hash(dataset)
+        assert other.counts == dataset.counts == dict(Counter(words))
+        assert other.size == dataset.size == len(words)
+        assert list(other) == list(dataset)
+        assert (gram_matrix(other) == gram_matrix(dataset)).all()
+    patterns = list(dataset)
+    assert [pattern.word for pattern in patterns] == sorted(words)
+    assert gram_matrix(dataset).tolist() == [[float(a == b) for b in patterns] for a in patterns]
+
+
+def test_ingest_memory_does_not_grow_with_lines():
+    # Only the count map outlives a line: at most 2^8 words here, however
+    # many lines are read.
+    def peak(lines):
+        source = (format(index % 256, "08b") for index in range(lines))
+        tracemalloc.start()
+        try:
+            dataset = load_dataset(source)
+            return tracemalloc.get_traced_memory()[1], dataset
+        finally:
+            tracemalloc.stop()
+
+    small, small_dataset = peak(2 * 10**3)
+    large, large_dataset = peak(2 * 10**5)
+    assert (small_dataset.size, large_dataset.size) == (2 * 10**3, 2 * 10**5)
+    assert len(large_dataset.counts) == 256
+    assert abs(large - small) <= 64 * 1024, (small, large)

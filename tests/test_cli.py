@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from diracpmf import load_dataset, verify
 from diracpmf.verify import estimate_coefficients
@@ -65,6 +67,55 @@ class TestEstimate:
         )
         assert code == 1
         assert err
+
+
+@st.composite
+def fuzz_case(draw):
+    """File bytes and query text. Lines hold at most 12 bytes, so a file's
+    L stays small enough for every method. Half the files are well-formed,
+    patterns of one length among comments and blanks, so both exit codes
+    occur; the others mix in arbitrary bytes."""
+    length = draw(st.integers(1, 12))
+    pattern = st.binary(min_size=length, max_size=length).map(
+        lambda raw: bytes(b"01"[byte & 1] for byte in raw)
+    )
+    line = st.one_of(pattern, st.sampled_from([b"", b" \t", b"# 01x"]))
+    if draw(st.booleans()):
+        line = st.one_of(
+            line,
+            st.binary(max_size=12),
+            st.lists(st.sampled_from(b"01, \t#-x\xff\xc3"), max_size=12).map(bytes),
+        )
+    ending = st.sampled_from([b"\n", b"\r\n", b"\r"])
+    data = b"".join(draw(st.lists(st.tuples(line, ending), max_size=8).map(
+        lambda pairs: [part for pair in pairs for part in pair]
+    )))
+    # A leading "-" would make argparse read the query as an option.
+    query = draw(st.one_of(pattern.map(bytes.decode), st.text(max_size=14)).filter(
+        lambda text: not text.startswith("-")
+    ))
+    return data, query
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_case())
+def test_estimate_ends_in_a_result_or_one_error_line(tmp_path, capsys, case):
+    data, query = case
+    path = tmp_path / "fuzz.txt"
+    path.write_bytes(data)
+    for method in ("expansion", "dirac", "fwht"):
+        code, out, err = run(
+            capsys, "estimate", "--input", str(path), "--query", query, "--method", method,
+        )
+        assert code in (0, 1)
+        event(f"{method} exit {code}")
+        if code == 0:
+            assert err == "" and json.loads(out)["method"] == method
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
 
 
 class TestSpectrum:
@@ -227,6 +278,17 @@ class TestBench:
         assert report["agreement"] is True
         assert "per_query_s" not in report["methods"]["dirac"]
         assert "speedup_expansion_over_dirac" not in report
+
+    @pytest.mark.parametrize("flag", ["--samples", "--queries"])
+    def test_negative_counts_exit_one(self, capsys, monkeypatch, flag):
+        def no_fit(*args):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr("diracpmf.cli.PmfEstimate.fit", no_fit)
+        code, out, err = run(capsys, "bench", "--length", "4", flag, "-1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: DiracPmfError: {flag} must be >= 0, got -1\n"
 
     def test_expansion_skipped_above_cap(self, capsys):
         code, out, _ = run(

@@ -397,11 +397,17 @@ class TestGramMatrix:
         expected[2, 2] = expected[3, 3] = 1
         assert np.array_equal(gram, expected)
 
-    def test_input_order(self):
+    def test_word_order(self):
         lines = ["11", "00", "11", "01", "00"]
         dataset = load_dataset(lines)
-        expected = np.array([[float(a == b) for b in lines] for a in lines])
+        # Words 3, 0, 3, 2, 0: rows and columns follow the word order.
+        ordered = ["00", "00", "01", "11", "11"]
+        assert [str(pattern) for pattern in dataset] == ordered
+        expected = np.array([[float(a == b) for b in ordered] for a in ordered])
         assert np.array_equal(gram_matrix(dataset), expected)
+        blocks = np.zeros((5, 5))
+        blocks[:2, :2] = blocks[2, 2] = blocks[3:, 3:] = 1
+        assert np.array_equal(gram_matrix(dataset), blocks)
 
 
 class TestPmfEstimateBehaviour:
@@ -467,6 +473,30 @@ class TestPmfEstimateBehaviour:
             PmfEstimate.fit(dataset, "kernel")
         with pytest.raises(ValueError, match="unknown estimation method 'kernel'"):
             PmfEstimate("kernel", dataset)
+
+    def test_wrong_arrays_are_refused(self):
+        dataset = load_dataset(["011", "110"])
+        spectrum = estimate_coefficients(dataset)
+        table = PmfEstimate.fit(dataset, "fwht").table
+        other_spectrum = estimate_coefficients(load_dataset(["01"]))
+        for method, arrays in [
+            ("expansion", {}),
+            ("expansion", {"spectrum": other_spectrum}),
+            ("expansion", {"spectrum": spectrum.coefficients}),
+            ("expansion", {"spectrum": spectrum, "table": table}),
+            ("fwht", {}),
+            ("fwht", {"table": np.zeros(4)}),
+            ("fwht", {"table": list(table)}),
+            ("fwht", {"table": table, "spectrum": spectrum}),
+            ("dirac", {"spectrum": spectrum}),
+            ("dirac", {"table": table}),
+        ]:
+            with pytest.raises(ValueError, match=f"^a {method} estimate of L=3 takes "):
+                PmfEstimate(method, dataset, **arrays)
+        query = parse_pattern("011")
+        assert PmfEstimate("expansion", dataset, spectrum)(query) == pytest.approx(0.5, abs=TOL)
+        assert PmfEstimate("fwht", dataset, table=table)(query) == pytest.approx(0.5, abs=TOL)
+        assert PmfEstimate("dirac", dataset)(query) == 0.5
 
     @pytest.mark.parametrize("method", ["expansion", "fwht"])
     def test_reference_answers_equal_the_functions(self, method):
