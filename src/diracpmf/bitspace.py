@@ -4,14 +4,14 @@ A pattern is an ordered vector (x_1, ..., x_L) of bits. The leftmost
 character of a text pattern is x_1, and internally bit l-1 of the packed
 word holds x_l, so L <= 64 patterns fit one machine word.
 
-Ingestion is words-first: text is validated and packed straight into a
-word, and a dataset stores only how often each word occurs. BitPattern
-objects are built when a caller asks for one.
+Ingestion is words-first: each distinct line is validated and packed into
+a word once, and a dataset stores only how often each word occurs.
+BitPattern objects are built when a caller asks for one.
 """
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
+from itertools import islice, repeat
 from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -34,6 +34,8 @@ EXHAUSTIVE_CAP = 24
 _DROP_DIGITS = str.maketrans("", "", "01")
 #: Maps the ASCII digits b"0"/b"1" to the byte values 0/1.
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+#: Lines load_dataset reads and counts at a time.
+_BLOCK_LINES = 1024
 
 
 def _check_length(length: int) -> None:
@@ -224,30 +226,45 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     """Read one pattern per nonblank line; '#' lines are comments.
 
     Accepts any iterable of strings, e.g. an open text file or
-    ``text.splitlines()``. Raises with the offending line number on bad
+    ``text.splitlines()``. A Counter counts the raw lines in C, a block at a
+    time, and each distinct line is parsed once, so memory and parse work
+    are O(distinct lines). Raises with the offending line number on bad
     input and RaggedLengths on mixed pattern lengths.
     """
-    counts: dict[int, int] = {}
-    get = counts.get
+    line_counts: Counter[str] = Counter()
+    words: list[int | None] = []  # the word of each key, in order; None for a blank or '#' line
     length: int | None = None
-    for line_number, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        try:
-            digits, word = _pack(line)
-        except (EmptyInput, IllegalCharacter, LengthOutOfRange) as exc:
-            raise type(exc)(f"line {line_number}: {exc}") from exc
-        if len(digits) != length:
-            if length is not None:
-                raise RaggedLengths(
-                    f"line {line_number}: pattern {line!r} has length "
-                    f"{len(digits)}, expected {length}"
-                )
-            length = len(digits)
-        counts[word] = get(word, 0) + 1
+    first = 1  # the line number of block[0]
+    lines = iter(lines)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        seen = len(line_counts)
+        line_counts.update(block)
+        # The new keys, in order of first appearance: the first bad key is the first bad line.
+        for raw in reversed(list(islice(reversed(line_counts), len(line_counts) - seen))):
+            line = raw.strip()
+            if not line or line[0] == "#":
+                words.append(None)
+                continue
+            try:
+                digits, word = _pack(line)
+            except (EmptyInput, IllegalCharacter, LengthOutOfRange) as exc:
+                raise type(exc)(f"line {first + block.index(raw)}: {exc}") from exc
+            if len(digits) != length:
+                if length is not None:
+                    raise RaggedLengths(
+                        f"line {first + block.index(raw)}: pattern {line!r} has length "
+                        f"{len(digits)}, expected {length}"
+                    )
+                length = len(digits)
+            words.append(word)
+        first += len(block)
     if length is None:
         raise EmptyDataset("no pattern lines in input")
+    # "01", "0,1" and " 01\n" are three keys of one word.
+    counts: dict[int, int] = {}
+    for word, count in zip(words, line_counts.values()):
+        if word is not None:
+            counts[word] = counts.get(word, 0) + count
     dataset = object.__new__(Dataset)
     _fill(dataset, counts, length)
     return dataset

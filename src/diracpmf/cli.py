@@ -14,7 +14,7 @@ import random
 import re
 import sys
 import time
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from .bitspace import (
     BitPattern,
@@ -37,6 +37,14 @@ BENCH_CHUNK_QUERIES = 100
 BENCH_WARMUP_S = 0.2
 #: Rows of the Gram matrix formed at a time by `basis --check orthogonality`.
 GRAM_BLOCK_ROWS = 128
+
+
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error in DiracPmfError, so main exits 1; exit 2 is the paths disagreeing."""
+
+    def error(self, message: str) -> NoReturn:
+        # Escaped, so an argument that argparse quotes cannot break the one error line.
+        raise DiracPmfError(f"{self.prog}: {message}".encode("unicode_escape").decode())
 
 
 def _emit(payload: Any, pretty: bool) -> None:
@@ -324,11 +332,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diracpmf",
         description="Probability-mass estimation on binary spaces {0,1}^L.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_output_flags(sub: argparse.ArgumentParser) -> None:
         group = sub.add_mutually_exclusive_group()
@@ -381,9 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DiracPmfError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

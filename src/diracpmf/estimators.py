@@ -74,9 +74,9 @@ class PmfEstimate(_Frozen):
         length = dataset.length
         if method == "expansion":
             valid = table is None and isinstance(spectrum, _verify().Spectrum) and (
-                spectrum.length == length
+                spectrum.length == length and spectrum.sample_size == dataset.size
             )
-            wants = "a Spectrum of that L and no table"
+            wants = "a Spectrum of that L and N and no table"
         elif method == "fwht":
             valid = spectrum is None and getattr(table, "shape", None) == (1 << length,)
             wants = f"a table of shape ({1 << length},) and no spectrum"
