@@ -1,16 +1,18 @@
 import io
+import random
 import tracemalloc
 from collections import Counter
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracpmf import (
     BitPattern,
     Dataset,
+    DiracPmfError,
     EmptyDataset,
     EmptyInput,
     IllegalCharacter,
@@ -25,6 +27,7 @@ from diracpmf import (
     parse_pattern,
     render_pattern,
 )
+from diracpmf import bitspace
 
 
 class TestParsePattern:
@@ -471,3 +474,102 @@ def test_ingest_memory_does_not_grow_with_lines():
     assert (small_dataset.size, large_dataset.size) == (2 * 10**3, 2 * 10**5)
     assert len(large_dataset.counts) == 256
     assert abs(large - small) <= 64 * 1024, (small, large)
+
+
+# load_dataset counts raw lines a block at a time and parses each distinct
+# line once; these hold it to a per-line reference loop.
+
+
+def per_line_load(lines):
+    """The per-line ingest loop: (counts, length), or the error it raises."""
+    counts = {}
+    length = None
+    for line_number, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        try:
+            digits, word = bitspace._pack(line)
+        except (EmptyInput, IllegalCharacter, LengthOutOfRange) as exc:
+            raise type(exc)(f"line {line_number}: {exc}") from exc
+        if len(digits) != length:
+            if length is not None:
+                raise RaggedLengths(
+                    f"line {line_number}: pattern {line!r} has length "
+                    f"{len(digits)}, expected {length}"
+                )
+            length = len(digits)
+        counts[word] = counts.get(word, 0) + 1
+    if length is None:
+        raise EmptyDataset("no pattern lines in input")
+    return counts, length
+
+
+def ingest_outcome(load, lines):
+    try:
+        result = load(lines)
+    except DiracPmfError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Dataset):
+        return dict(result.counts), result.length, result.size
+    counts, length = result
+    return counts, length, sum(counts.values())
+
+
+@st.composite
+def lines_across_blocks(draw):
+    """Up to three blocks of pattern lines in a few raw spellings, with bad,
+    ragged, blank and comment lines drawn around the block edges."""
+    block = bitspace._BLOCK_LINES
+    length = draw(st.integers(1, 8))
+    pool = draw(st.lists(st.text("01", min_size=length, max_size=length), min_size=1, max_size=4))
+    spellings = [text + end for text in pool for end in ("", "\n", " \r\n")]
+    spellings.append(" " + ",".join(pool[0]) + "\n")
+    # A seeded Random, not st.randoms(): one integer shrinks fast.
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lines = rng.choices(spellings, k=draw(st.integers(0, 3 * block + 2)))
+    odd = ["", " \n", "# 0x\n", "0x\n", "1" * (length + 1) + "\n", "1" * 65, ",,\n", "0b1\n"]
+    for _ in range(draw(st.integers(0, 3)) if lines else 0):
+        edge = draw(st.integers(0, 3)) * block + draw(st.integers(-2, 2))
+        lines[min(max(edge, 0), len(lines) - 1)] = draw(st.sampled_from(odd))
+    return lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines_across_blocks(), st.sampled_from(["list", "generator", "StringIO"]))
+def test_ingest_matches_the_per_line_loop(lines, kind):
+    text = "".join(line if line.endswith("\n") else line + "\n" for line in lines)
+    source = {
+        "list": lambda: list(lines),
+        "generator": lambda: (line for line in lines),
+        "StringIO": lambda: io.StringIO(text),
+    }[kind]
+    expected = ingest_outcome(per_line_load, io.StringIO(text) if kind == "StringIO" else lines)
+    assert ingest_outcome(load_dataset, source()) == expected
+
+
+def test_each_distinct_line_is_packed_once(monkeypatch):
+    packed = []
+    pack = bitspace._pack
+    monkeypatch.setattr(bitspace, "_pack", lambda text: packed.append(text) or pack(text))
+    patterns = ["0110", " 1,0,0,1", "1111"]
+    lines = (patterns[number % 3] for number in range(3000))
+    dataset = load_dataset(lines)
+    assert packed == ["0110", "1,0,0,1", "1111"]
+    assert dataset.counts == {0b0110: 1000, 0b1001: 1000, 0b1111: 1000}
+    assert dataset.size == 3000
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ("0x", IllegalCharacter, "illegal character 'x' in pattern '0x'"),
+        ("011", RaggedLengths, "pattern '011' has length 3, expected 2"),
+    ],
+)
+def test_bad_line_past_the_second_block_keeps_its_number(bad, error, message):
+    block = bitspace._BLOCK_LINES
+    bad_lines = {2 * block + 17, 2 * block + 40}
+    lines = (bad if number in bad_lines else "01" for number in range(1, 3 * block + 1))
+    with pytest.raises(error, match=f"^line {2 * block + 17}: {message}$"):
+        load_dataset(lines)

@@ -69,6 +69,38 @@ class TestEstimate:
         assert err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["estimate", "--query", "01"],
+             "diracpmf estimate: the following arguments are required: --input"),
+            (["nosuch"], "diracpmf: argument command: invalid choice: 'nosuch'"),
+            (["estimate", "--input", "data.txt", "--query", "-x"],
+             "diracpmf estimate: argument --query: expected one argument"),
+            (["bench", "--length", "4", "--samples", "x"],
+             "diracpmf bench: argument --samples: invalid int value: 'x'"),
+        ],
+    )
+    def test_exit_one_with_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: DiracPmfError: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_quoted_argument_stays_on_one_line(self, capsys):
+        # argparse quotes "--=..." in an ambiguous-option message.
+        code, out, err = run(capsys, "estimate", "--input", "data.txt", "--query", "--=\n")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: DiracPmfError: ") and err.count("\n") == 1
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["estimate", "--help"])
+        assert exit_info.value.code == 0
+        assert "--query" in capsys.readouterr().out
+
+
 @st.composite
 def fuzz_case(draw):
     """File bytes and query text. Lines hold at most 12 bytes, so a file's
@@ -90,10 +122,7 @@ def fuzz_case(draw):
     data = b"".join(draw(st.lists(st.tuples(line, ending), max_size=8).map(
         lambda pairs: [part for pair in pairs for part in pair]
     )))
-    # A leading "-" would make argparse read the query as an option.
-    query = draw(st.one_of(pattern.map(bytes.decode), st.text(max_size=14)).filter(
-        lambda text: not text.startswith("-")
-    ))
+    query = draw(st.one_of(pattern.map(bytes.decode), st.text(max_size=14)))
     return data, query
 
 

@@ -498,6 +498,16 @@ class TestPmfEstimateBehaviour:
         assert PmfEstimate("fwht", dataset, table=table)(query) == pytest.approx(0.5, abs=TOL)
         assert PmfEstimate("dirac", dataset)(query) == 0.5
 
+    def test_spectrum_of_another_sample_size_is_refused(self):
+        dataset = load_dataset(["01"])
+        other = estimate_coefficients(load_dataset(["11", "11", "10"]))
+        assert other.length == dataset.length
+        wants = "^a expansion estimate of L=2 takes a Spectrum of that L and N "
+        with pytest.raises(ValueError, match=wants):
+            PmfEstimate("expansion", dataset, other)
+        own = PmfEstimate("expansion", dataset, estimate_coefficients(dataset))
+        assert own(parse_pattern("01")) == pytest.approx(1.0, abs=TOL)
+
     @pytest.mark.parametrize("method", ["expansion", "fwht"])
     def test_reference_answers_equal_the_functions(self, method):
         dataset = random_dataset(random.Random(14), 10, 300)
