@@ -38,7 +38,7 @@ from .estimators import EQUIVALENCE_TOL, PmfEstimate, estimate_dirac
 _VERIFY_NAMES = frozenset({
     "BasisIndex", "SignAssignment", "Spectrum", "estimate_coefficients",
     "estimate_expansion", "estimate_fwht", "eval_basis", "fast_transform",
-    "frequency_vector", "gram_matrix", "kernel_dirac", "kernel_sum", "lemma1_sum",
+    "frequency_vector", "kernel_dirac", "kernel_sum", "lemma1_sum",
     "orthogonality_sum", "signed_binomial_row_sum",
 })
 

@@ -15,7 +15,7 @@ module only when one of these is asked for:
   of all 2^L subset products equals 2^L when every variable is +1 and 0
   otherwise. It is what collapses the expansion to counting, so it gets a
   brute-force evaluator plus the closed-form binomial route it reduces to;
-* the basis-product and indicator kernels, and their Gram matrix;
+* the basis-product and indicator kernels;
 * expansion -- project the sample onto the basis and reconstruct p(x) as
   the coefficient-weighted basis sum;
 * fwht -- push the empirical frequency vector through the fast
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
@@ -47,10 +48,14 @@ class BasisIndex:
     length: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.length <= 64:
-            raise LengthOutOfRange(f"length {self.length} outside 1..64")
-        if not 0 <= self.mask < (1 << self.length):
-            raise ValueError(f"mask {self.mask} outside 0..2^{self.length}-1")
+        # operator.index refuses a float, and stores True or a numpy int as int.
+        mask, length = operator.index(self.mask), operator.index(self.length)
+        if not 1 <= length <= 64:
+            raise LengthOutOfRange(f"length {length} outside 1..64")
+        if not 0 <= mask < (1 << length):
+            raise ValueError(f"mask {mask} outside 0..2^{length}-1")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "length", length)
 
 
 Ordering = Literal["canonical", "by_cardinality"]
@@ -106,14 +111,18 @@ def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
     return pattern
 
 
-def sign_column(index_mask: int, length: int) -> np.ndarray:
-    """Vector of phi_S(x) over all x in word order, for the subset mask S.
+def _column_bytes(mask: int, length: int) -> bytes:
+    """phi_S(x) over all x in word order, for the subset mask S, as int8 bytes.
 
     phi_S(0) = (-1)^|S|, and setting bit p of x flips the sign exactly
     when p is in S.
     """
-    first = -1 if index_mask.bit_count() & 1 else 1
-    return np.frombuffer(sign_bytes(index_mask, length, first), np.int8).astype(np.float64)
+    return sign_bytes(mask, length, -1 if mask.bit_count() & 1 else 1)
+
+
+def sign_column(index_mask: int, length: int) -> np.ndarray:
+    """Vector of phi_S(x) over all x in word order, for the subset mask S: a read-only int8 view."""
+    return np.frombuffer(_column_bytes(index_mask, length), np.int8)
 
 
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
@@ -156,11 +165,7 @@ def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     """
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
-    first_i = -1 if i.mask.bit_count() & 1 else 1
-    first_k = -1 if k.mask.bit_count() & 1 else 1
-    return _sum_of_sign_products(
-        sign_bytes(i.mask, i.length, first_i), sign_bytes(k.mask, k.length, first_k)
-    )
+    return _sum_of_sign_products(_column_bytes(i.mask, i.length), _column_bytes(k.mask, k.length))
 
 
 @dataclass(frozen=True)
@@ -254,14 +259,6 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
         sign_bytes(~prototype.word & full, length), sign_bytes(~query.word & full, length)
     )
     return products / (1 << length)
-
-
-def gram_matrix(dataset: Dataset) -> np.ndarray:
-    """N x N indicator-kernel matrix in the dataset's word order; 0/1, symmetric, block-diagonal."""
-    # Patterns of one dataset share L, so they are equal iff their words are.
-    distinct, counts = zip(*sorted(dataset.counts.items()))
-    words = np.repeat(np.array(distinct, dtype=np.uint64), counts)
-    return (words[:, None] == words[None, :]).astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)

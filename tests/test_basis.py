@@ -2,11 +2,12 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diracpmf import BitPattern, CapExceeded, LengthMismatch, all_patterns
+from diracpmf import BitPattern, CapExceeded, LengthMismatch, LengthOutOfRange, all_patterns
 from diracpmf.verify import (
     BasisIndex,
     eval_basis,
@@ -157,6 +158,21 @@ class TestOrthogonality:
             orthogonality_sum(BasisIndex(0, 30), BasisIndex(0, 30))
 
 
+def test_basis_index_takes_integers_only():
+    for mask, length in [(2.5, 2), (1.0, 2), (1, 2.0), ("1", 2)]:
+        with pytest.raises(TypeError):
+            BasisIndex(mask, length)
+    for mask, length in [(True, 2), (np.int64(3), np.uint8(2)), (np.uint64(1), True)]:
+        index = BasisIndex(mask, length)
+        assert type(index.mask) is int and type(index.length) is int
+        assert index == BasisIndex(int(mask), int(length))
+        assert orthogonality_sum(index, index) == 1 << index.length
+    with pytest.raises(LengthOutOfRange):
+        BasisIndex(0, np.int64(65))
+    with pytest.raises(ValueError, match="outside 0..2"):
+        BasisIndex(np.int64(4), 2)
+
+
 def test_sign_row_matches_coefficient_dtype():
     # A float64 row keeps the expansion query a float.float dot.
     row = sign_row(0b0110, 4)
@@ -175,6 +191,7 @@ def test_sign_vectors_match_eval_basis_everywhere(length):
         ]
     for mask in range(size):
         index = BasisIndex(mask, length)
+        assert sign_column(mask, length).dtype == np.int8
         assert list(sign_column(mask, length)) == [
             eval_basis(index, pattern) for pattern in patterns
         ]

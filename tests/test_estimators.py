@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -22,7 +23,6 @@ from diracpmf import (
     estimate_fwht,
     eval_basis,
     fast_transform,
-    gram_matrix,
     kernel_dirac,
     kernel_sum,
     load_dataset,
@@ -368,14 +368,21 @@ class TestFastTransform:
             fast_transform([1.0, 2.0], "sideways")
 
 
+def indicator_gram(dataset: Dataset) -> np.ndarray:
+    """The N x N indicator-kernel matrix over the dataset's patterns, pair by pair."""
+    return np.array([[kernel_dirac(a, b) for b in dataset] for a in dataset])
+
+
 class TestGramMatrix:
+    """The indicator kernel over a sample, in the order the dataset yields its patterns."""
+
     def test_distinct_patterns_identity(self):
         dataset = dataset_from_words([0, 1, 2, 3], 2)
-        assert np.array_equal(gram_matrix(dataset), np.eye(4))
+        assert np.array_equal(indicator_gram(dataset), np.eye(4))
 
     def test_duplicates_all_ones(self):
         dataset = load_dataset(["0", "0"])
-        assert np.array_equal(gram_matrix(dataset), np.ones((2, 2)))
+        assert np.array_equal(indicator_gram(dataset), np.ones((2, 2)))
 
     def test_methods_agree(self):
         # The basis-product kernel's Gram matrix, entry by entry, is the indicator one.
@@ -383,12 +390,12 @@ class TestGramMatrix:
         for length in range(1, 7):
             dataset = random_dataset(rng, length, 8)
             by_sums = [[kernel_sum(a, b) for b in dataset] for a in dataset]
-            assert np.allclose(by_sums, gram_matrix(dataset), atol=TOL)
+            assert np.allclose(by_sums, indicator_gram(dataset), atol=TOL)
 
     def test_block_structure(self):
         # grouping equal patterns makes a 0/1 block-diagonal matrix
         dataset = load_dataset(["00", "00", "11", "01"])
-        gram = gram_matrix(dataset)
+        gram = indicator_gram(dataset)
         assert np.array_equal(gram, gram.T)
         assert set(np.unique(gram)) <= {0.0, 1.0}
         assert np.array_equal(np.diag(gram), np.ones(4))
@@ -404,10 +411,10 @@ class TestGramMatrix:
         ordered = ["00", "00", "01", "11", "11"]
         assert [str(pattern) for pattern in dataset] == ordered
         expected = np.array([[float(a == b) for b in ordered] for a in ordered])
-        assert np.array_equal(gram_matrix(dataset), expected)
+        assert np.array_equal(indicator_gram(dataset), expected)
         blocks = np.zeros((5, 5))
         blocks[:2, :2] = blocks[2, 2] = blocks[3:, 3:] = 1
-        assert np.array_equal(gram_matrix(dataset), blocks)
+        assert np.array_equal(indicator_gram(dataset), blocks)
 
 
 class TestPmfEstimateBehaviour:
@@ -433,26 +440,38 @@ class TestPmfEstimateBehaviour:
     def test_copies_compare_equal(self, method, copies):
         dataset = load_dataset(["01", "01", "11"])
         estimate = PmfEstimate.fit(dataset, method)
-        for other in [PmfEstimate.fit(load_dataset(["01", "01", "11"]), method), *copies(estimate)]:
+        rebuilt = eval(repr(estimate), {"PmfEstimate": PmfEstimate, "Dataset": Dataset})
+        for other in [PmfEstimate.fit(load_dataset(["01", "01", "11"]), method), rebuilt,
+                      *copies(estimate)]:
             assert other == estimate and hash(other) == hash(estimate)
         assert estimate != PmfEstimate.fit(load_dataset(["01", "11"]), method)
         assert len({PmfEstimate.fit(dataset, other) for other in self.METHODS}) == 3
 
     @pytest.mark.parametrize("method", METHODS)
     def test_arrays_are_read_only(self, method, copies):
+        def arrays(estimate):
+            pair = (estimate.table, getattr(estimate.spectrum, "coefficients", None))
+            return [array for array in pair if array is not None]
+
         estimate = PmfEstimate.fit(load_dataset(["01", "01", "11"]), method)
+        fresh = arrays(PmfEstimate.fit(load_dataset(["01", "11", "01"]), method))
         queries = list(all_patterns(2))
         want = [estimate(query) for query in queries]
         for other in [estimate, *copies(estimate)]:
-            arrays = [
-                array for array in (other.table, getattr(other.spectrum, "coefficients", None))
-                if array is not None
-            ]
-            assert len(arrays) == (method != "dirac")
-            for array in arrays:
+            # A copy refits: its arrays equal a fresh fit's, and are read-only again.
+            assert len(arrays(other)) == len(fresh) == (method != "dirac")
+            for array, fitted in zip(arrays(other), fresh):
+                assert np.array_equal(array, fitted)
                 with pytest.raises(ValueError, match="read-only"):
                     array[1] = 1.0
             assert [other(query) for query in queries] == want
+
+    def test_pickle_carries_no_table(self):
+        # The table is 2^16 float64s, 512 KiB; the pickle holds the count map only.
+        dataset = random_dataset(random.Random(16), 16, 1000)
+        estimate = PmfEstimate.fit(dataset, "fwht")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert len(pickle.dumps(estimate, protocol)) < 64 * 1024
 
     @pytest.mark.parametrize("method", METHODS)
     def test_fields_stay_readable_and_fixed(self, method):
@@ -475,37 +494,33 @@ class TestPmfEstimateBehaviour:
             PmfEstimate("kernel", dataset)
 
     def test_wrong_arrays_are_refused(self):
+        # The constructor fits and takes no arrays at all, not even its own method's.
         dataset = load_dataset(["011", "110"])
         spectrum = estimate_coefficients(dataset)
         table = PmfEstimate.fit(dataset, "fwht").table
-        other_spectrum = estimate_coefficients(load_dataset(["01"]))
-        for method, arrays in [
-            ("expansion", {}),
-            ("expansion", {"spectrum": other_spectrum}),
-            ("expansion", {"spectrum": spectrum.coefficients}),
-            ("expansion", {"spectrum": spectrum, "table": table}),
-            ("fwht", {}),
-            ("fwht", {"table": np.zeros(4)}),
-            ("fwht", {"table": list(table)}),
-            ("fwht", {"table": table, "spectrum": spectrum}),
-            ("dirac", {"spectrum": spectrum}),
-            ("dirac", {"table": table}),
+        for method, args, kwargs in [
+            ("expansion", (spectrum,), {}),
+            ("expansion", (), {"spectrum": spectrum}),
+            ("fwht", (None, table), {}),
+            ("fwht", (), {"table": table}),
+            ("dirac", (), {"spectrum": None, "table": None}),
         ]:
-            with pytest.raises(ValueError, match=f"^a {method} estimate of L=3 takes "):
-                PmfEstimate(method, dataset, **arrays)
+            with pytest.raises(TypeError):
+                PmfEstimate(method, dataset, *args, **kwargs)
         query = parse_pattern("011")
-        assert PmfEstimate("expansion", dataset, spectrum)(query) == pytest.approx(0.5, abs=TOL)
-        assert PmfEstimate("fwht", dataset, table=table)(query) == pytest.approx(0.5, abs=TOL)
-        assert PmfEstimate("dirac", dataset)(query) == 0.5
+        for method in self.METHODS:
+            assert PmfEstimate(method, dataset)(query) == pytest.approx(0.5, abs=TOL)
 
     def test_spectrum_of_another_sample_size_is_refused(self):
+        # Another sample's spectrum of the same L cannot get in; the fit's has this N.
         dataset = load_dataset(["01"])
         other = estimate_coefficients(load_dataset(["11", "11", "10"]))
         assert other.length == dataset.length
-        wants = "^a expansion estimate of L=2 takes a Spectrum of that L and N "
-        with pytest.raises(ValueError, match=wants):
+        with pytest.raises(TypeError):
             PmfEstimate("expansion", dataset, other)
-        own = PmfEstimate("expansion", dataset, estimate_coefficients(dataset))
+        own = PmfEstimate("expansion", dataset)
+        assert own.spectrum == estimate_coefficients(dataset)
+        assert own.spectrum.sample_size == dataset.size
         assert own(parse_pattern("01")) == pytest.approx(1.0, abs=TOL)
 
     @pytest.mark.parametrize("method", ["expansion", "fwht"])
