@@ -40,16 +40,17 @@ _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 MAX_BINOMIAL_N = 60
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BasisIndex:
     """Subset mask identifying one basis polynomial of a given length."""
 
     mask: int
     length: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, mask: int, length: int) -> None:
         # operator.index refuses a float, and stores True or a numpy int as int.
-        mask, length = operator.index(self.mask), operator.index(self.length)
+        # Each field is set once here; a __post_init__ would set it twice.
+        mask, length = operator.index(mask), operator.index(length)
         if not 1 <= length <= 64:
             raise LengthOutOfRange(f"length {length} outside 1..64")
         if not 0 <= mask < (1 << length):
