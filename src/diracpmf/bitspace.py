@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     CapExceeded,
+    DiracPmfError,
     EmptyDataset,
     EmptyInput,
     IllegalCharacter,
@@ -38,13 +39,17 @@ _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 _BLOCK_LINES = 1024
 
 
-def _check_length(length: int) -> None:
+def _check_length(length: int) -> int:
+    """Return length as an int, refusing a float with TypeError and one outside 1..64."""
+    length = index(length)
     if not 1 <= length <= MAX_LENGTH:
         raise LengthOutOfRange(f"pattern length {length} outside 1..{MAX_LENGTH}")
+    return length
 
 
 def check_cap(length: int) -> None:
     """Refuse a walk over 2^length terms (a 4^L walk passes 2L) above 2^EXHAUSTIVE_CAP."""
+    length = index(length)
     if length < 1:
         raise LengthOutOfRange(f"length {length} must be >= 1")
     if length > EXHAUSTIVE_CAP:
@@ -115,7 +120,7 @@ class BitPattern(_Frozen):
     @classmethod
     def from_word(cls, word: int, length: int) -> BitPattern:
         """Unpack an integer whose bit l-1 is x_l."""
-        _check_length(length)
+        length = _check_length(length)
         if word < 0 or word >> length:
             raise ValueError(f"word {word} does not fit in {length} bits")
         return _pattern(int(word), length)
@@ -171,7 +176,7 @@ class Dataset(_Frozen):
         counts = dict(zip(map(index, counts), map(index, counts.values())))
         if not counts:
             raise EmptyDataset("a dataset needs at least one pattern")
-        _check_length(length)
+        length = _check_length(length)
         low, high = min(counts), max(counts)
         if low < 0 or high >> length:
             raise ValueError(f"word {low if low < 0 else high} does not fit in {length} bits")
@@ -227,9 +232,10 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
 
     Accepts any iterable of strings, e.g. an open text file or
     ``text.splitlines()``. A Counter counts the raw lines in C, a block at a
-    time, and each distinct line is parsed once, so memory and parse work
-    are O(distinct lines). Raises with the offending line number on bad
-    input and RaggedLengths on mixed pattern lengths.
+    time, and each distinct line is checked and parsed once, so memory and
+    parse work are O(distinct lines). Raises with the first offending line's
+    number on bad input (a byte that is not UTF-8, in a file opened with
+    errors="surrogateescape", included) and RaggedLengths on mixed lengths.
     """
     line_counts: Counter[str] = Counter()
     words: list[int | None] = []  # the word of each key, in order; None for a blank or '#' line
@@ -241,6 +247,12 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
         line_counts.update(block)
         # The new keys, in order of first appearance: the first bad key is the first bad line.
         for raw in reversed(list(islice(reversed(line_counts), len(line_counts) - seen))):
+            # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF.
+            if not raw.isascii():
+                for char in raw:
+                    if "\udc80" <= char <= "\udcff":
+                        byte = f"byte {ord(char) - 0xDC00:#04x} is not UTF-8"
+                        raise DiracPmfError(f"line {first + block.index(raw)}: {byte}")
             line = raw.strip()
             if not line or line[0] == "#":
                 words.append(None)
@@ -272,7 +284,7 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
 
 def all_patterns(length: int) -> Iterator[BitPattern]:
     """Enumerate {0,1}^L in word order. Caller is responsible for caps."""
-    _check_length(length)
+    length = _check_length(length)
     for word in range(1 << length):
         yield _pattern(word, length)
 

@@ -11,7 +11,6 @@ import argparse
 import itertools
 import json
 import random
-import re
 import sys
 import time
 from typing import Any, Iterable, NoReturn, Sequence
@@ -76,20 +75,9 @@ def _emit_entries(payload: dict[str, Any], key: str, entries: Iterable[Any], pre
 
 
 def _load(path: str) -> Dataset:
-    """Read a dataset file; a byte that is not UTF-8 is reported by line."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return load_dataset(handle)
-    except UnicodeDecodeError as exc:
-        # The decoder reads ahead in chunks, so exc names no line. Read again
-        # with bad bytes escaped to lone surrogates, which UTF-8 never yields.
-        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                if escaped := re.search("[\udc80-\udcff]", line):
-                    byte = ord(escaped[0]) - 0xDC00
-                    message = f"line {line_number}: byte {byte:#04x} is not UTF-8"
-                    raise DiracPmfError(message) from exc
-        raise
+    """Read a dataset file; load_dataset reports a byte that is not UTF-8 by line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        return load_dataset(handle)
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -9,8 +9,7 @@ All three must agree to 1e-12 on any dataset; the test suite enforces it.
 """
 from __future__ import annotations
 
-import functools
-from types import ModuleType
+from types import MethodType
 from typing import TYPE_CHECKING, Literal
 
 from .bitspace import BitPattern, Dataset, _Frozen
@@ -31,49 +30,46 @@ def estimate_dirac(dataset: Dataset, query: BitPattern) -> float:
         raise LengthMismatch(
             f"dataset length {dataset.length} != pattern length {query.length}"
         )
-    return dataset.counts.get(query.word, 0) / dataset.size
+    return dataset._counts.get(query.word, 0) / dataset.size
 
 
 EstimateMethod = Literal["expansion", "dirac", "fwht"]
-
-
-@functools.cache
-def _verify() -> ModuleType:
-    # Cached: an import statement per query costs ~1.4 us, as much as a
-    # whole expansion query at L=8.
-    from . import verify
-    return verify
 
 
 class PmfEstimate(_Frozen):
     """A queryable estimate p: {0,1}^L -> [0,1] fitted to a dataset.
 
     The constructor fits, so every spectrum and table comes from the dataset,
-    and binds the method's query once: a call makes one length check and then
-    does only that method's work; for dirac, one read of the count map.
+    and binds the method's public query function to what it reads: the
+    dataset (dirac), the spectrum (expansion) or the table (fwht). A call is
+    that function's call, one length check and then the method's work.
     """
 
-    __slots__ = ("method", "dataset", "spectrum", "table", "_query", "_length", "_counts", "_size")
+    __slots__ = ("method", "dataset", "spectrum", "table", "_answer")
     method: EstimateMethod
     dataset: Dataset
     spectrum: Spectrum | None
     table: np.ndarray | None
 
     def __init__(self, method: EstimateMethod, dataset: Dataset) -> None:
-        query = _QUERIES.get(method)
-        if query is None:
-            raise ValueError(f"unknown estimation method {method!r}")
-        spectrum = _verify().estimate_coefficients(dataset) if method == "expansion" else None
-        # Round-trip once at fit time; queries then read a table entry, which
-        # is read-only, so no caller can change a later answer.
-        table = _verify().fwht_table(dataset) if method == "fwht" else None
-        if table is not None:
+        spectrum = table = None
+        if method == "dirac":
+            answer = MethodType(estimate_dirac, dataset)
+        elif method == "expansion":
+            from .verify import estimate_coefficients, estimate_expansion
+            spectrum = estimate_coefficients(dataset)
+            answer = MethodType(estimate_expansion, spectrum)
+        elif method == "fwht":
+            from .verify import _read_table, fwht_table
+            # Round-trip once at fit time; queries then read a table entry,
+            # which is read-only, so no caller can change a later answer.
+            table = fwht_table(dataset)
             table.setflags(write=False)
-        for name, value in (
-            ("method", method), ("dataset", dataset), ("spectrum", spectrum), ("table", table),
-            ("_query", query), ("_length", dataset.length), ("_counts", dataset._counts),
-            ("_size", dataset.size),
-        ):
+            answer = MethodType(_read_table, table)
+        else:
+            raise ValueError(f"unknown estimation method {method!r}")
+        # A bound method refers to what it reads, not to the estimate: no cycle.
+        for name, value in zip(self.__slots__, (method, dataset, spectrum, table, answer)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -81,20 +77,7 @@ class PmfEstimate(_Frozen):
         return cls(method, dataset)
 
     def __call__(self, query: BitPattern) -> float:
-        if query.length != self._length:
-            raise LengthMismatch(
-                f"dataset length {self._length} != pattern length {query.length}"
-            )
-        return self._query(self, query)
-
-    def _dirac(self, query: BitPattern) -> float:
-        return self._counts.get(query.word, 0) / self._size
-
-    def _expansion(self, query: BitPattern) -> float:
-        return _verify().estimate_expansion(self.spectrum, query)
-
-    def _fwht(self, query: BitPattern) -> float:
-        return float(self.table[query.word])
+        return self._answer(query)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -111,11 +94,3 @@ class PmfEstimate(_Frozen):
 
     def __repr__(self) -> str:
         return f"PmfEstimate(method={self.method!r}, dataset={self.dataset!r})"
-
-
-#: The query each method binds; plain functions, so an estimate holds no reference cycle.
-_QUERIES = {
-    "dirac": PmfEstimate._dirac,
-    "expansion": PmfEstimate._expansion,
-    "fwht": PmfEstimate._fwht,
-}

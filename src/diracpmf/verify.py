@@ -31,8 +31,8 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .bitspace import BitPattern, Dataset, check_cap
-from .errors import LengthMismatch, LengthOutOfRange, NotPowerOfTwo, RangeError
+from .bitspace import BitPattern, Dataset, _check_length, check_cap
+from .errors import LengthMismatch, NotPowerOfTwo, RangeError
 
 #: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
@@ -50,9 +50,7 @@ class BasisIndex:
     def __init__(self, mask: int, length: int) -> None:
         # operator.index refuses a float, and stores True or a numpy int as int.
         # Each field is set once here; a __post_init__ would set it twice.
-        mask, length = operator.index(mask), operator.index(length)
-        if not 1 <= length <= 64:
-            raise LengthOutOfRange(f"length {length} outside 1..64")
+        mask, length = operator.index(mask), _check_length(length)
         if not 0 <= mask < (1 << length):
             raise ValueError(f"mask {mask} outside 0..2^{length}-1")
         object.__setattr__(self, "mask", mask)
@@ -441,10 +439,20 @@ def fwht_table(dataset: Dataset) -> np.ndarray:
     return _butterfly(_butterfly(frequency_vector(dataset), "forward"), "inverse")
 
 
+def _read_table(table: np.ndarray, query: BitPattern) -> float:
+    """p(query) read from an fwht_table: the entry at the query's word."""
+    if len(table) != 1 << query.length:
+        raise LengthMismatch(
+            f"table length {len(table).bit_length() - 1} != pattern length {query.length}"
+        )
+    return float(table[query.word])
+
+
 def estimate_fwht(dataset: Dataset, query: BitPattern) -> float:
     """Read p(query) from the fwht round trip of the whole dataset."""
+    # Checked before the fit, so a wrong query costs no 2^L work.
     if dataset.length != query.length:
         raise LengthMismatch(
             f"dataset length {dataset.length} != pattern length {query.length}"
         )
-    return float(fwht_table(dataset)[query.word])
+    return _read_table(fwht_table(dataset), query)

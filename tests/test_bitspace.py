@@ -403,6 +403,41 @@ def test_dataset_from_counts_refuses_bad_input(counts, length, error, match):
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Dataset({1: 1}, 2.0),
+        lambda: dataset_from_words([1], 2.0),
+        lambda: BitPattern.from_word(1, 2.0),
+        lambda: next(all_patterns(2.0)),
+        lambda: bitspace.check_cap(2.0),
+    ],
+    ids=["Dataset", "dataset_from_words", "from_word", "all_patterns", "check_cap"],
+)
+def test_float_length_is_refused_as_not_an_integer(build):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        build()
+
+
+def test_numpy_length_is_stored_as_int():
+    assert type(Dataset({1: 1}, np.int64(2)).length) is int
+    assert type(dataset_from_words([1], np.uint8(2)).length) is int
+    assert type(BitPattern.from_word(1, np.int64(2)).length) is int
+    assert {type(pattern.length) for pattern in all_patterns(np.int64(2))} == {int}
+
+
+def test_surrogateescape_handle_names_the_bad_line(tmp_path):
+    path = tmp_path / "data.txt"
+    path.write_bytes("# café\n01\n\u00a011\n".encode() + b"0\xe91\n")
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        with pytest.raises(DiracPmfError, match="^line 4: byte 0xe9 is not UTF-8$"):
+            load_dataset(handle)
+    # Valid non-ASCII text, a comment and a no-break space, still loads.
+    path.write_text("# café\n01\n\u00a011\n", encoding="utf-8")
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        assert load_dataset(handle) == load_dataset(["01", "11"])
+
+
+@pytest.mark.parametrize(
     "counts",
     [
         Counter([3, 0, 3]),

@@ -52,6 +52,12 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["p"] == pytest.approx(1 / 3, abs=1e-12)
 
+    def test_pretty_is_the_indented_dump(self, capsys, dataset_file):
+        code, out, _ = run(capsys, "estimate", "--input", dataset_file, "--query", "01", "--pretty")
+        assert code == 0
+        payload = {"L": 2, "N": 3, "method": "dirac", "query": "01", "p": 2 / 3}
+        assert out == json.dumps(payload, indent=2) + "\n"
+
     def test_length_mismatch_exits_one(self, capsys, dataset_file):
         code, out, err = run(
             capsys, "estimate", "--input", dataset_file, "--query", "0",

@@ -329,6 +329,23 @@ class TestEstimates:
             PmfEstimate.fit(dataset, "dirac")(parse_pattern("0"))
 
 
+    @pytest.mark.parametrize(
+        "path, fitted",
+        [
+            (estimate_dirac, lambda dataset: dataset),
+            (estimate_expansion, estimate_coefficients),
+            (estimate_fwht, lambda dataset: dataset),
+        ],
+        ids=["dirac", "expansion", "fwht"],
+    )
+    def test_public_paths_refuse_a_wrong_length_query(self, path, fitted):
+        # A served estimate answers through these functions, so this is its check too.
+        reference = fitted(load_dataset(["01", "01", "11"]))
+        for query in (parse_pattern("0"), parse_pattern("011")):
+            with pytest.raises(LengthMismatch, match=f"length 2 != pattern length {query.length}$"):
+                path(reference, query)
+
+
 class TestFastTransform:
     def test_constant_function(self):
         for length in (1, 3, 5):

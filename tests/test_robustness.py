@@ -19,8 +19,10 @@ from diracpmf.cli import main
         (b"01\n" * 5000 + b"1\xe90\n", 5001),
         # A lone CR ends a line in text mode, as load_dataset counts lines.
         (b"01\r01\r1\xff\r", 3),
+        # Comments are checked too, though they are never parsed.
+        (b"01\n# caf\xe9\n11\n", 2),
     ],
-    ids=["first-byte", "past-first-chunk", "cr-line-ends"],
+    ids=["first-byte", "past-first-chunk", "cr-line-ends", "bad-byte-in-comment"],
 )
 def test_non_utf8_byte_exits_one_naming_its_line(capsys, tmp_path, command, data, line):
     path = tmp_path / "data.txt"
@@ -31,6 +33,22 @@ def test_non_utf8_byte_exits_one_naming_its_line(capsys, tmp_path, command, data
     assert captured.out == ""
     assert f"error: DiracPmfError: line {line}: byte 0x" in captured.err
     assert "not UTF-8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["estimate", "--query", "01"], ["spectrum"]], ids=["estimate", "spectrum"]
+)
+def test_first_bad_line_is_reported(capsys, tmp_path, command):
+    # The bad byte lies past the decoder's first read-ahead chunk; the bad pattern comes first.
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"01\n11\n0x\n" + b"01\n" * 796 + b"1\xff\n")
+    code = main([command[0], "--input", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: IllegalCharacter: line 3: illegal character 'x' in pattern '0x'\n"
+    )
 
 
 def test_bench_length_not_integers_exits_one(capsys):
