@@ -120,10 +120,10 @@ class BitPattern(_Frozen):
     @classmethod
     def from_word(cls, word: int, length: int) -> BitPattern:
         """Unpack an integer whose bit l-1 is x_l."""
-        length = _check_length(length)
+        word, length = index(word), _check_length(length)
         if word < 0 or word >> length:
             raise ValueError(f"word {word} does not fit in {length} bits")
-        return _pattern(int(word), length)
+        return _pattern(word, length)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -283,10 +283,9 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
 
 
 def all_patterns(length: int) -> Iterator[BitPattern]:
-    """Enumerate {0,1}^L in word order. Caller is responsible for caps."""
+    """Enumerate {0,1}^L in word order. The length is checked on the call; caps are the caller's."""
     length = _check_length(length)
-    for word in range(1 << length):
-        yield _pattern(word, length)
+    return (_pattern(word, length) for word in range(1 << length))
 
 
 def dataset_from_words(words: Iterable[int], length: int) -> Dataset:

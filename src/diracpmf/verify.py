@@ -34,9 +34,6 @@ import numpy as np
 from .bitspace import BitPattern, Dataset, _check_length, check_cap
 from .errors import LengthMismatch, NotPowerOfTwo, RangeError
 
-#: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
-_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
-
 MAX_BINOMIAL_N = 60
 
 
@@ -98,16 +95,21 @@ def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
     """The signs first * (-1)^popcount(i & flip_mask) for i in 0..2^L-1, as int8 bytes.
 
     This is the Kronecker product of the pairs (1, -1) for the bits set in
-    flip_mask and (1, 1) for the others, built by L doublings: each appends
-    a copy of the pattern so far, negated byte-wise where the bit is set.
-    Each doubling is one C-level bytes copy, so a short vector pays no numpy
-    call per coordinate.
+    flip_mask and (1, 1) for the others, built by L doublings. The pattern
+    and its negation are carried side by side, so a doubling is two C-level
+    bytes concatenations, (p + n, n + p) where the bit is set and
+    (p + p, n + n) where it is not (the last needs no negation), and a short
+    vector pays no numpy call and no byte-wise negation per coordinate. Only
+    the low L bits of flip_mask count: ~x flips exactly where x is 0.
     """
     check_cap(length)
-    pattern = b"\x01" if first > 0 else b"\xff"
-    for bit in range(length):
-        pattern += pattern.translate(_NEGATE) if flip_mask >> bit & 1 else pattern
-    return pattern
+    pattern, negated = (b"\x01", b"\xff") if first > 0 else (b"\xff", b"\x01")
+    for bit in range(length - 1):
+        if flip_mask >> bit & 1:
+            pattern, negated = pattern + negated, negated + pattern
+        else:
+            pattern, negated = pattern + pattern, negated + negated
+    return pattern + (negated if flip_mask >> length - 1 & 1 else pattern)
 
 
 def _column_bytes(mask: int, length: int) -> bytes:
@@ -130,8 +132,7 @@ def sign_row(pattern_word: int, length: int) -> np.ndarray:
     float64, the dtype of the coefficients it is multiplied with. phi_0 = 1,
     and adding coordinate p to S flips the sign exactly when x_p = 0.
     """
-    flips = ~pattern_word & ((1 << length) - 1)
-    return np.frombuffer(sign_bytes(flips, length), np.int8).astype(np.float64)
+    return np.frombuffer(sign_bytes(~pattern_word, length), np.int8).astype(np.float64)
 
 
 def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
@@ -149,18 +150,19 @@ def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
 def _sum_of_sign_products(signs: bytes, other: bytes) -> int:
     """sum(a * b) over two equally long int8 vectors of +1/-1 bytes, exactly.
 
-    The products are +1 or -1, so the sum is the length less twice the
-    number of -1 products; they are counted in C, with no float64 copy.
+    A product is -1 exactly where the two vectors differ, so the sum is the
+    length less twice the number of differing bytes; they are counted in C,
+    with no product array.
     """
-    products = np.frombuffer(signs, np.int8) * np.frombuffer(other, np.int8)
-    return len(signs) - 2 * int(np.count_nonzero(products < 0))
+    differ = np.frombuffer(signs, np.int8) != np.frombuffer(other, np.int8)
+    return len(signs) - 2 * int(np.count_nonzero(differ))
 
 
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation.
 
-    The two int8 sign columns are multiplied point by point, and every one
-    of the 2^L products is counted.
+    The two int8 sign columns are compared point by point, and every one of
+    the 2^L products is counted.
     """
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
@@ -253,9 +255,8 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
     """
     _require_equal_length(prototype, query)
     length = prototype.length
-    full = (1 << length) - 1
     products = _sum_of_sign_products(
-        sign_bytes(~prototype.word & full, length), sign_bytes(~query.word & full, length)
+        sign_bytes(~prototype.word, length), sign_bytes(~query.word, length)
     )
     return products / (1 << length)
 
@@ -307,35 +308,45 @@ def estimate_coefficients(dataset: Dataset) -> Spectrum:
     """Average phi_i over the sample, scaled by 1/2^L, for every basis index.
 
     Each distinct prototype's full 2^L sign row is built in int8, _BLOCK_ROWS
-    prototypes of one count at a time, in one block allocated per fit: the
-    words wait in a queue per count until it fills, and the leftover queues
-    are flushed at the end. A row starts at its count (at most _INT8_COUNT;
-    at 1 above that), and L in-place doublings, each a multiply by one
-    coordinate's sign, build the rest. The block's int8 column sums, times
-    a count too large for int8, are added to the float64 total. Every
-    partial sum is an integer, so neither the grouping nor the order of the
-    sums can change a coefficient. The working set is the total and the
-    block, 16 bytes per basis index, whatever the sample; no BLAS call and
-    no butterfly.
+    prototypes of one count at a time (a queue per count; the leftovers are
+    flushed at the end), in one block allocated per fit. phi is a Kronecker
+    product, so a row viewed as 2^(L//2) x 2^(L - L//2) is the outer product
+    of its half-rows over the top and the bottom coordinates, gathered from
+    a per-fit table of at most 2^L bytes. The low half-row carries the count
+    (at most _INT8_COUNT; 1 above that). The block's int8 column sums, times
+    a larger count, go into the float64 total. Every partial sum is an
+    integer, so no grouping or order can change a coefficient. The working
+    set is the total, the block and the table, at most 17 bytes per basis
+    index, whatever the sample; no BLAS call and no butterfly.
     """
     check_cap(dataset.length)
     length = dataset.length
+    high, low = length // 2, length - length // 2
+    # table[w, s] = phi_s(w) over `high` coordinates; each one doubles it to [[t, -t], [t, t]].
+    table = np.empty((1 << high, 1 << high), np.int8)
+    table[0, 0] = 1
+    for size in (1 << k for k in range(high)):
+        table[size:2 * size, :size] = table[size:2 * size, size:2 * size] = table[:size, :size]
+        np.negative(table[:size, :size], out=table[:size, size:2 * size])
     block = np.empty((_BLOCK_ROWS, 1 << length), np.int8)
     scaled = np.empty(min(_SCALE_CHUNK, 1 << length))
     total = np.zeros(1 << length)
-    shifts = np.arange(length, dtype=np.uint64)
 
     def add(words: list[int], count: int) -> None:
         rows = block[:len(words)]
-        # signs[r, p] is +1 where x_p = 1 in word r and -1 where x_p = 0:
-        # adding coordinate p to a subset multiplies its phi by it.
-        signs = (np.array(words, np.uint64)[:, None] >> shifts & 1).astype(np.int8)
-        signs += signs - 1
-        rows[:, 0] = count if count <= _INT8_COUNT else 1
-        half = 1
-        for position in range(length):
-            np.multiply(rows[:, :half], signs[:, position:position + 1], out=rows[:, half:2 * half])
-            half *= 2
+        words = np.array(words, np.int64)
+        lows = table[words & (1 << high) - 1]
+        lows *= count if count <= _INT8_COUNT else 1
+        if low > high:
+            # The low half's last coordinate doubles it, negated where x_high = 0.
+            lows = np.concatenate((lows, lows), axis=1)
+            lows[words >> high & 1 == 0, 1 << high:] *= -1
+        # Outer product: row r's high half-row picks signed[2r] at +1 and signed[2r + 1] at -1.
+        signed = np.stack((lows, -lows), axis=1).reshape(-1, 1 << low)
+        picks = (table[words >> low] < 0) + np.arange(0, 2 * len(words), 2)[:, None]
+        # mode="clip": "raise" would fill a buffered copy of the block.
+        np.take(signed, picks, axis=0, out=rows.reshape(-1, 1 << high, 1 << low), mode="clip")
+        del words, lows, signed, picks  # before the float64 cast buffer below
         # The column sums gather in the first row, in int8.
         sums = rows[0]
         for row in rows[1:]:

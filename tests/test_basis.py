@@ -13,6 +13,7 @@ from diracpmf.verify import (
     eval_basis,
     iter_basis,
     orthogonality_sum,
+    sign_bytes,
     sign_column,
     sign_row,
 )
@@ -195,6 +196,17 @@ def test_sign_vectors_match_eval_basis_everywhere(length):
         assert list(sign_column(mask, length)) == [
             eval_basis(index, pattern) for pattern in patterns
         ]
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_sign_bytes_are_the_signed_popcount_parities(length):
+    # first * (-1)^popcount(i & mask), for every mask and both leading signs.
+    indices = np.arange(1 << length)
+    for mask in range(1 << length):
+        parity = (np.bitwise_count(indices & mask) & 1).astype(np.int8)
+        for first in (1, -1):
+            want = (first * (1 - 2 * parity)).astype(np.int8)
+            assert sign_bytes(mask, length, first) == want.tobytes()
 
 
 @st.composite

@@ -418,6 +418,22 @@ def test_float_length_is_refused_as_not_an_integer(build):
         build()
 
 
+def test_from_word_takes_integer_words_only():
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        BitPattern.from_word(1.0, 2)
+    for word in (np.uint64(3), np.int8(3)):
+        pattern = BitPattern.from_word(word, 2)
+        assert type(pattern.word) is int and pattern == BitPattern.from_word(3, 2)
+    assert type(BitPattern.from_word(True, 2).word) is int
+
+
+@pytest.mark.parametrize("length, error", [(0, LengthOutOfRange), (65, LengthOutOfRange), (2.0, TypeError)])
+def test_all_patterns_checks_its_length_on_the_call(length, error):
+    # The call itself raises, before anything is iterated, as iter_basis does.
+    with pytest.raises(error):
+        all_patterns(length)
+
+
 def test_numpy_length_is_stored_as_int():
     assert type(Dataset({1: 1}, np.int64(2)).length) is int
     assert type(dataset_from_words([1], np.uint8(2)).length) is int

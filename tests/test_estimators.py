@@ -1,3 +1,4 @@
+import ast
 import math
 import pickle
 import random
@@ -28,6 +29,7 @@ from diracpmf import (
     load_dataset,
     parse_pattern,
 )
+from diracpmf import verify
 
 TOL = 1e-12
 
@@ -159,6 +161,9 @@ class TestCoefficients:
             pytest.param(6, [2] * 19 + [1] * 17, id="more-words-of-a-count-than-a-block"),
             pytest.param(8, [1 + 7 * i for i in range(40)], id="many-count-values"),
             pytest.param(11, [15, 16, 127, 128, 2000] * 8, id="full-blocks-of-counts-up-to-2000"),
+            # Odd L: the half-rows differ in size, 2^1 x 2^2 and 2^6 x 2^7.
+            pytest.param(3, [1, 2, 16, 1, 1], id="L3-unequal-halves"),
+            pytest.param(13, [1, 15, 16, 300] * 5, id="L13-unequal-halves"),
         ],
     )
     def test_block_edges_equal_per_word_basis_sum(self, length, counts):
@@ -180,11 +185,15 @@ class TestCoefficients:
         "length, distinct, count",
         [
             pytest.param(length, distinct, lambda i: 1, id=f"{length}-{distinct}")
-            for length, distinct in [(14, 1), (14, 9), (14, 5000), (14, 16384), (18, 3)]
+            for length, distinct in [
+                (13, 1), (13, 8192), (14, 1), (14, 9), (14, 5000), (14, 16384),
+                (15, 9), (15, 5000), (18, 3),
+            ]
         ]
+        + [pytest.param(14, 16384, lambda i: 3, id="14-16384-each-thrice")]
         + [
-            pytest.param(14, 16384, lambda i: 3, id="14-16384-each-thrice"),
-            pytest.param(14, 5000, lambda i: 1 + i % 40, id="14-5000-mixed-counts"),
+            pytest.param(length, 5000, lambda i: 1 + i % 40, id=f"{length}-5000-mixed-counts")
+            for length in (13, 14, 15)
         ],
     )
     def test_peak_memory_does_not_grow_with_distinct_words(self, length, distinct, count):
@@ -200,9 +209,9 @@ class TestCoefficients:
         finally:
             tracemalloc.stop()
         # The float64 coefficients and the int8 block of 8 sign rows (8 B an
-        # entry each), 1024 float64 entries of scratch for counts over 15,
-        # numpy's buffer for the int8 -> float64 cast (8192 entries) and a
-        # few small objects.
+        # entry each), the int8 half-row table (at most 1 B an entry), 1024
+        # float64 entries of scratch for counts over 15, numpy's buffer for
+        # the int8 -> float64 cast (8192 entries) and a few small objects.
         assert peak <= 2 * (8 << length) + (2 << length) + (64 << 10) + 4096
 
     def test_bound_and_integrality(self):
@@ -214,6 +223,18 @@ class TestCoefficients:
             scaled = spectrum.coefficients * size * (1 << length)
             assert np.all(np.abs(spectrum.coefficients) <= 1.0 / (1 << length) + TOL)
             assert np.allclose(scaled, np.round(scaled), atol=1e-9)
+
+
+def test_no_oracle_calls_blas():
+    # A float64 product of 2^14 entries or more goes to BLAS, whose threads
+    # can stall a call on a small host; the oracles multiply and add instead.
+    tree = ast.parse(open(verify.__file__, encoding="utf-8").read())
+    matmuls = [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
+    calls = [
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        and node.attr in {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
+    ]
+    assert matmuls == [] and calls == []
 
 
 class TestSpectrum:
