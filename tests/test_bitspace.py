@@ -427,7 +427,9 @@ def test_from_word_takes_integer_words_only():
     assert type(BitPattern.from_word(True, 2).word) is int
 
 
-@pytest.mark.parametrize("length, error", [(0, LengthOutOfRange), (65, LengthOutOfRange), (2.0, TypeError)])
+@pytest.mark.parametrize(
+    "length, error", [(0, LengthOutOfRange), (65, LengthOutOfRange), (2.0, TypeError)]
+)
 def test_all_patterns_checks_its_length_on_the_call(length, error):
     # The call itself raises, before anything is iterated, as iter_basis does.
     with pytest.raises(error):
