@@ -34,6 +34,9 @@ import numpy as np
 from .bitspace import BitPattern, Dataset, _check_length, check_cap
 from .errors import LengthMismatch, NotPowerOfTwo, RangeError
 
+#: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
+_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+
 MAX_BINOMIAL_N = 60
 
 
@@ -95,21 +98,17 @@ def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
     """The signs first * (-1)^popcount(i & flip_mask) for i in 0..2^L-1, as int8 bytes.
 
     This is the Kronecker product of the pairs (1, -1) for the bits set in
-    flip_mask and (1, 1) for the others, built by L doublings. The pattern
-    and its negation are carried side by side, so a doubling is two C-level
-    bytes concatenations, (p + n, n + p) where the bit is set and
-    (p + p, n + n) where it is not (the last needs no negation), and a short
-    vector pays no numpy call and no byte-wise negation per coordinate. Only
-    the low L bits of flip_mask count: ~x flips exactly where x is 0.
+    flip_mask and (1, 1) for the others, built by L doublings: each appends
+    a copy of the pattern so far, negated byte-wise where the bit is set.
+    Each doubling is one C-level bytes copy, so a short vector pays no numpy
+    call per coordinate. Only the low L bits of flip_mask count, so ~x flips
+    exactly where x is 0.
     """
     check_cap(length)
-    pattern, negated = (b"\x01", b"\xff") if first > 0 else (b"\xff", b"\x01")
-    for bit in range(length - 1):
-        if flip_mask >> bit & 1:
-            pattern, negated = pattern + negated, negated + pattern
-        else:
-            pattern, negated = pattern + pattern, negated + negated
-    return pattern + (negated if flip_mask >> length - 1 & 1 else pattern)
+    pattern = b"\x01" if first > 0 else b"\xff"
+    for bit in range(length):
+        pattern += pattern.translate(_NEGATE) if flip_mask >> bit & 1 else pattern
+    return pattern
 
 
 def _column_bytes(mask: int, length: int) -> bytes:
@@ -132,7 +131,8 @@ def sign_row(pattern_word: int, length: int) -> np.ndarray:
     float64, the dtype of the coefficients it is multiplied with. phi_0 = 1,
     and adding coordinate p to S flips the sign exactly when x_p = 0.
     """
-    return np.frombuffer(sign_bytes(~pattern_word, length), np.int8).astype(np.float64)
+    flips = ~pattern_word & ((1 << length) - 1)
+    return np.frombuffer(sign_bytes(flips, length), np.int8).astype(np.float64)
 
 
 def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
@@ -311,42 +311,38 @@ def estimate_coefficients(dataset: Dataset) -> Spectrum:
     prototypes of one count at a time (a queue per count; the leftovers are
     flushed at the end), in one block allocated per fit. phi is a Kronecker
     product, so a row viewed as 2^(L//2) x 2^(L - L//2) is the outer product
-    of its half-rows over the top and the bottom coordinates, gathered from
-    a per-fit table of at most 2^L bytes. The low half-row carries the count
-    (at most _INT8_COUNT; 1 above that). The block's int8 column sums, times
-    a larger count, go into the float64 total. Every partial sum is an
-    integer, so no grouping or order can change a coefficient. The working
-    set is the total, the block and the table, at most 17 bytes per basis
-    index, whatever the sample; no BLAS call and no butterfly.
+    of its half-rows over the top and the bottom coordinates. The bottom
+    half-row is a sign_bytes row and carries the count (at most _INT8_COUNT;
+    1 above that); the top half-row only picks its sign in each slice, by the
+    parity eval_basis uses. The block's int8 column sums, times a larger
+    count, go into the float64 total. Every partial sum is an integer, so no
+    grouping or order can change a coefficient. The working set is the total
+    and the block, 16 bytes per basis index, whatever the sample; no BLAS
+    call and no butterfly.
     """
     check_cap(dataset.length)
     length = dataset.length
     high, low = length // 2, length - length // 2
-    # table[w, s] = phi_s(w) over `high` coordinates; each one doubles it to [[t, -t], [t, t]].
-    table = np.empty((1 << high, 1 << high), np.int8)
-    table[0, 0] = 1
-    for size in (1 << k for k in range(high)):
-        table[size:2 * size, :size] = table[size:2 * size, size:2 * size] = table[:size, :size]
-        np.negative(table[:size, :size], out=table[:size, size:2 * size])
+    top_masks = np.arange(1 << high)
     block = np.empty((_BLOCK_ROWS, 1 << length), np.int8)
     scaled = np.empty(min(_SCALE_CHUNK, 1 << length))
     total = np.zeros(1 << length)
 
+    def fill(rows: np.ndarray, words: list[int], count: int) -> None:
+        """Write the words' sign rows, times count, into rows."""
+        lows = np.frombuffer(b"".join(sign_bytes(~word, low) for word in words), np.int8) * count
+        signed = np.concatenate((lows, -lows)).reshape(-1, 1 << low)
+        # Row r's top half-row picks signed[r] where phi_S = +1 and signed[r + len(words)]
+        # where it is -1: where |S & ~x| is odd.
+        odd = np.bitwise_count(top_masks & ~(np.array(words) >> low)[:, None]) & 1
+        picks = odd * len(words) + np.arange(len(words))[:, None]
+        # mode="clip": "raise" would fill a buffered copy of the block.
+        np.take(signed, picks, axis=0, out=rows.reshape(len(words), 1 << high, -1), mode="clip")
+
     def add(words: list[int], count: int) -> None:
         rows = block[:len(words)]
-        words = np.array(words, np.int64)
-        lows = table[words & (1 << high) - 1]
-        lows *= count if count <= _INT8_COUNT else 1
-        if low > high:
-            # The low half's last coordinate doubles it, negated where x_high = 0.
-            lows = np.concatenate((lows, lows), axis=1)
-            lows[words >> high & 1 == 0, 1 << high:] *= -1
-        # Outer product: row r's high half-row picks signed[2r] at +1 and signed[2r + 1] at -1.
-        signed = np.stack((lows, -lows), axis=1).reshape(-1, 1 << low)
-        picks = (table[words >> low] < 0) + np.arange(0, 2 * len(words), 2)[:, None]
-        # mode="clip": "raise" would fill a buffered copy of the block.
-        np.take(signed, picks, axis=0, out=rows.reshape(-1, 1 << high, 1 << low), mode="clip")
-        del words, lows, signed, picks  # before the float64 cast buffer below
+        # fill's temporaries are gone before the int8 -> float64 cast buffer below.
+        fill(rows, words, count if count <= _INT8_COUNT else 1)
         # The column sums gather in the first row, in int8.
         sums = rows[0]
         for row in rows[1:]:
