@@ -162,7 +162,7 @@ class TestCoefficients:
             pytest.param(6, [2] * 19 + [1] * 17, id="more-words-of-a-count-than-a-block"),
             pytest.param(8, [1 + 7 * i for i in range(40)], id="many-count-values"),
             pytest.param(11, [15, 16, 127, 128, 2000] * 8, id="full-blocks-of-counts-up-to-2000"),
-            # Odd L: the half-rows differ in size, 2^2 x 2^1 and 2^7 x 2^6.
+            # Odd L: the half-rows differ in size, 2^1 x 2^2 and 2^6 x 2^7.
             pytest.param(3, [1, 2, 16, 1, 1], id="L3-unequal-halves"),
             pytest.param(13, [1, 15, 16, 300] * 5, id="L13-unequal-halves"),
         ],
@@ -210,9 +210,9 @@ class TestCoefficients:
         finally:
             tracemalloc.stop()
         # The float64 coefficients and the int8 block of 8 sign rows (8 B an
-        # entry each), the int8 half-row table (at most 1 B an entry), 1024
-        # float64 entries of scratch for counts over 15, numpy's buffer for
-        # the int8 -> float64 cast (8192 entries) and a few small objects.
+        # entry each), 1024 float64 entries of scratch for counts over 15,
+        # numpy's buffer for the int8 -> float64 cast (8192 entries) and a
+        # few small objects.
         assert peak <= 2 * (8 << length) + (2 << length) + (64 << 10) + 4096
 
     def test_bound_and_integrality(self):
