@@ -47,10 +47,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(payload: Any, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
+    print(json.dumps(payload, indent=2 if pretty else None))
 
 
 def _emit_entries(payload: dict[str, Any], key: str, entries: Iterable[Any], pretty: bool) -> None:

@@ -296,78 +296,27 @@ class Spectrum:
         return Spectrum, (self.length, self.sample_size, self.coefficients)
 
 
-#: Sign rows built and summed together: their int8 column sums stay within +-8.
-_BLOCK_ROWS = 8
-#: Counts up to this ride in the int8 rows themselves: a column sum stays within +-127.
-_INT8_COUNT = 127 // _BLOCK_ROWS
-#: Entries a block's column sums are scaled by a larger count in, through one float64 scratch.
-_SCALE_CHUNK = 1024
+def _count_vector(dataset: Dataset) -> np.ndarray:
+    """The dataset's counts over all 2^L patterns, indexed by word, as float64."""
+    vector = np.zeros(1 << dataset.length)
+    for word, count in dataset.counts.items():
+        vector[word] = count
+    return vector
 
 
 def estimate_coefficients(dataset: Dataset) -> Spectrum:
     """Average phi_i over the sample, scaled by 1/2^L, for every basis index.
 
-    Each distinct prototype's full 2^L sign row is built in int8, _BLOCK_ROWS
-    prototypes of one count at a time (a queue per count; the leftovers are
-    flushed at the end), in one block allocated per fit. phi is a Kronecker
-    product, so a row viewed as 2^(L//2) x 2^(L - L//2) is the outer product
-    of its half-rows over the top and the bottom coordinates. The bottom
-    half-row is a sign_bytes row and carries the count (at most _INT8_COUNT;
-    1 above that); the top half-row only picks its sign in each slice, by the
-    parity eval_basis uses. The block's int8 column sums, times a larger
-    count, go into the float64 total. Every partial sum is an integer, so no
-    grouping or order can change a coefficient. The working set is the total
-    and the block, 16 bytes per basis index, whatever the sample; no BLAS
-    call and no butterfly.
+    The numerators sum_x count(x) * phi_S(x) are the forward transform of
+    the count vector. Every partial sum is an integer of size at most N, so
+    it is exact in float64 and the one division rounds each coefficient
+    once. The fit costs O(L * 2^L) whatever the sample, and holds two
+    float64 vectors; no BLAS call.
     """
     check_cap(dataset.length)
-    length = dataset.length
-    high, low = length // 2, length - length // 2
-    top_masks = np.arange(1 << high)
-    block = np.empty((_BLOCK_ROWS, 1 << length), np.int8)
-    scaled = np.empty(min(_SCALE_CHUNK, 1 << length))
-    total = np.zeros(1 << length)
-
-    def fill(rows: np.ndarray, words: list[int], count: int) -> None:
-        """Write the words' sign rows, times count, into rows."""
-        lows = np.frombuffer(b"".join(sign_bytes(~word, low) for word in words), np.int8) * count
-        signed = np.concatenate((lows, -lows)).reshape(-1, 1 << low)
-        # Row r's top half-row picks signed[r] where phi_S = +1 and signed[r + len(words)]
-        # where it is -1: where |S & ~x| is odd.
-        odd = np.bitwise_count(top_masks & ~(np.array(words) >> low)[:, None]) & 1
-        picks = odd * len(words) + np.arange(len(words))[:, None]
-        # mode="clip": "raise" would fill a buffered copy of the block.
-        np.take(signed, picks, axis=0, out=rows.reshape(len(words), 1 << high, -1), mode="clip")
-
-    def add(words: list[int], count: int) -> None:
-        rows = block[:len(words)]
-        # fill's temporaries are gone before the int8 -> float64 cast buffer below.
-        fill(rows, words, count if count <= _INT8_COUNT else 1)
-        # The column sums gather in the first row, in int8.
-        sums = rows[0]
-        for row in rows[1:]:
-            sums += row
-        if count <= _INT8_COUNT:
-            np.add(total, sums, out=total)
-            return
-        for start in range(0, len(sums), len(scaled)):
-            part = scaled[:len(sums) - start]
-            # float(count): an int8 array times a Python int would stay int8.
-            np.multiply(sums[start:start + len(part)], float(count), out=part)
-            total[start:start + len(part)] += part
-
-    queues: dict[int, list[int]] = {}
-    for word, count in dataset.counts.items():
-        queue = queues.setdefault(count, [])
-        queue.append(word)
-        if len(queue) == _BLOCK_ROWS:
-            add(queue, count)
-            queue.clear()
-    for count, queue in queues.items():
-        if queue:
-            add(queue, count)
-    total /= dataset.size * (1 << length)
-    return Spectrum(length, dataset.size, total)
+    total = _butterfly(_count_vector(dataset), "forward")
+    total /= dataset.size * (1 << dataset.length)
+    return Spectrum(dataset.length, dataset.size, total)
 
 
 def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
@@ -404,26 +353,30 @@ def fast_transform(
 
 
 def _butterfly(data: np.ndarray, direction: Direction) -> np.ndarray:
-    """fast_transform of a float64 2^L vector, in place, with one temporary half per stage.
+    """fast_transform of a float64 2^L vector, through one second vector of 2^L.
 
     Per coordinate, this basis maps the pair (a, b) at x_p = 0, 1 to
     (a + b, b - a) going forward, and back with (a - b, a + b) / 2. These
     are the plain +/- butterfly with the sign flips of odd-order
     coefficients folded in, and give the same floats, since a negation
-    rounds exactly.
+    rounds exactly. Each stage is constant-geometry (Pease 1968): it reads
+    the pairs at 2i and 2i + 1 and writes their two results to i and
+    i + 2^(L-1) of the other vector, so the lowest index bit moves to the
+    top; after L stages every bit is back in place. The 1-D strided reads
+    need no numpy buffer. The result is data at even L and the second
+    vector at odd L; data is overwritten either way.
     """
-    half = 1
-    while half < len(data):
-        blocks = data.reshape(-1, 2 * half)
-        low, high = blocks[:, :half], blocks[:, half:]
-        saved = low.copy()
+    half = len(data) // 2
+    other = np.empty_like(data)
+    for _ in range(len(data).bit_length() - 1):
+        low, high = data[0::2], data[1::2]
         if direction == "forward":
-            np.add(low, high, out=low)
-            np.subtract(high, saved, out=high)
+            np.add(low, high, out=other[:half])
+            np.subtract(high, low, out=other[half:])
         else:
-            np.subtract(low, high, out=low)
-            np.add(saved, high, out=high)
-        half *= 2
+            np.subtract(low, high, out=other[:half])
+            np.add(low, high, out=other[half:])
+        data, other = other, data
     if direction == "inverse":
         data /= len(data)
     return data
@@ -432,11 +385,7 @@ def _butterfly(data: np.ndarray, direction: Direction) -> np.ndarray:
 def frequency_vector(dataset: Dataset) -> np.ndarray:
     """Empirical frequencies over all 2^L patterns, indexed by word."""
     check_cap(dataset.length)
-    distinct = len(dataset.counts)
-    words = np.fromiter(dataset.counts.keys(), dtype=np.uint64, count=distinct)
-    counts = np.fromiter(dataset.counts.values(), dtype=np.float64, count=distinct)
-    freq = np.zeros(1 << dataset.length, dtype=np.float64)
-    freq[words] = counts
+    freq = _count_vector(dataset)
     freq /= dataset.size
     return freq
 

@@ -155,14 +155,15 @@ class TestCoefficients:
     @pytest.mark.parametrize(
         "length, counts",
         [
-            # Counts on both sides of the largest an int8 block row carries
-            # (15) and of int8's own range (127), and 2^L below a block.
+            # Large counts, up to 2000, summed exactly by the butterfly; the
+            # ids name the int8 block fit these inputs were first written for.
             pytest.param(1, [128, 1], id="L1-over-int8"),
             pytest.param(2, [1, 3, 3, 300], id="L2-under-a-block"),
             pytest.param(6, [2] * 19 + [1] * 17, id="more-words-of-a-count-than-a-block"),
             pytest.param(8, [1 + 7 * i for i in range(40)], id="many-count-values"),
             pytest.param(11, [15, 16, 127, 128, 2000] * 8, id="full-blocks-of-counts-up-to-2000"),
-            # Odd L: the half-rows differ in size, 2^1 x 2^2 and 2^6 x 2^7.
+            # Odd L: an odd number of butterfly stages, which end in the
+            # transform's second vector.
             pytest.param(3, [1, 2, 16, 1, 1], id="L3-unequal-halves"),
             pytest.param(13, [1, 15, 16, 300] * 5, id="L13-unequal-halves"),
         ],
@@ -209,10 +210,9 @@ class TestCoefficients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The float64 coefficients and the int8 block of 8 sign rows (8 B an
-        # entry each), 1024 float64 entries of scratch for counts over 15,
-        # numpy's buffer for the int8 -> float64 cast (8192 entries) and a
-        # few small objects.
+        # The float64 count vector and the butterfly's second vector (8 B an
+        # entry each), one of which becomes the coefficients, and a few
+        # small objects; the rest of the bound is slack.
         assert peak <= 2 * (8 << length) + (2 << length) + (64 << 10) + 4096
 
     def test_bound_and_integrality(self):
@@ -224,6 +224,31 @@ class TestCoefficients:
             scaled = spectrum.coefficients * size * (1 << length)
             assert np.all(np.abs(spectrum.coefficients) <= 1.0 / (1 << length) + TOL)
             assert np.allclose(scaled, np.round(scaled), atol=1e-9)
+
+
+#: The butterfly's callers, each given a random vector and a dataset of one L.
+TRANSFORMS = {
+    "fast_transform": lambda values, dataset: fast_transform(values),
+    "fwht_table": lambda values, dataset: verify.fwht_table(dataset),
+    "estimate_coefficients": lambda values, dataset: estimate_coefficients(dataset),
+}
+
+
+@pytest.mark.parametrize("length", [10, 13, 14, 16])
+@pytest.mark.parametrize("name", TRANSFORMS)
+def test_transform_peak_is_two_tables(name, length):
+    # One float64 vector of 2^L and the butterfly's second vector; a stage
+    # that made numpy buffer its operands would add 3 x 64 KiB at L <= 14.
+    rng = random.Random(length)
+    values = np.array([rng.random() for _ in range(1 << length)])
+    dataset = random_dataset(rng, length, 2000)
+    tracemalloc.start()
+    try:
+        TRANSFORMS[name](values, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (8 << length) + (16 << 10)
 
 
 def test_no_oracle_calls_blas():
@@ -377,12 +402,22 @@ class TestFastTransform:
     def test_point_mass_at_zero(self):
         assert list(fast_transform([1.0, 0.0], "forward")) == [1.0, -1.0]
 
-    @pytest.mark.parametrize("length", range(1, 9))
-    def test_matches_naive_double_loop(self, length):
+    @pytest.mark.parametrize(
+        "length, integral",
+        [pytest.param(length, False, id=str(length)) for length in range(1, 9)]
+        + [pytest.param(length, True, id=f"integers-{length}") for length in range(1, 9)],
+    )
+    def test_matches_naive_double_loop(self, length, integral):
         rng = random.Random(31 + length)
-        values = [rng.random() for _ in range(1 << length)]
-        fast = fast_transform(values, "forward")
-        assert np.allclose(fast, naive_transform(values, length), atol=TOL)
+        if integral:
+            # Counts-like integers: every partial sum is exact in float64, so
+            # the butterfly must equal the double loop, as the fit relies on.
+            values = [float(rng.randint(-2000, 2000)) for _ in range(1 << length)]
+            assert list(fast_transform(values, "forward")) == naive_transform(values, length)
+        else:
+            values = [rng.random() for _ in range(1 << length)]
+            fast = fast_transform(values, "forward")
+            assert np.allclose(fast, naive_transform(values, length), atol=TOL)
 
     def test_inverse_forward_identity(self):
         rng = random.Random(37)

@@ -148,8 +148,8 @@ def test_spectrum_writes_its_entries_without_holding_them(tmp_path, flag):
         finally:
             tracemalloc.stop()
     assert code == 0
-    # The 2^16 coefficients and the fit's sign rows take ~2.5 MB; a list of
-    # all 2^16 entry dicts would take ~25 MB more.
+    # The fit's two float64 vectors of 2^16 take 1 MB; a list of all 2^16
+    # entry dicts would take ~25 MB more.
     assert peak < 8 << 20
 
 
