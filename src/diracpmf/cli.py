@@ -34,8 +34,6 @@ BENCH_REPETITIONS = 7
 BENCH_CHUNK_QUERIES = 100
 #: Least untimed warm-up per benchmark cell, in seconds.
 BENCH_WARMUP_S = 0.2
-#: Rows of the Gram matrix formed at a time by `basis --check orthogonality`.
-GRAM_BLOCK_ROWS = 128
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,37 +118,24 @@ def cmd_basis(args: argparse.Namespace) -> int:
         _emit_entries(payload, "entries", entries, args.pretty)
         return 0
 
-    # Full pairwise orthogonality: every Gram entry is an explicit sum of
-    # 2^L sign products, and must be 2^L on the diagonal and 0 off it. The
-    # signs are stored as int8 (16 MB at L=12), and the Gram matrix is formed
-    # GRAM_BLOCK_ROWS rows at a time in float32, which holds every partial
-    # sum exactly: each is an integer of magnitude at most 2^L <= 2^12.
-    import numpy as np
+    # Full pairwise orthogonality: the forward transform of sign column k is
+    # sum_x phi_i(x) * phi_k(x) for every i, exact in float64 (|sum| <= 2^12), and
+    # must be 2^L at i = k, else 0. It trusts the butterfly to match sign_bytes.
     check_cap(2 * length)
     size = 1 << length
-    signs = np.empty((size, size), dtype=np.int8)
-    for mask in range(size):
-        signs[mask] = verify.sign_column(mask, length)
     report: dict[str, Any] = {"L": length, "check": "orthogonality", "pairs": size * size}
-    for start in range(0, size, GRAM_BLOCK_ROWS):
-        rows = signs[start:start + GRAM_BLOCK_ROWS].astype(np.float32)
-        gram = np.empty((len(rows), size), dtype=np.float32)
-        for column in range(0, size, GRAM_BLOCK_ROWS):
-            block = signs[column:column + GRAM_BLOCK_ROWS].astype(np.float32)
-            np.matmul(rows, block.T, out=gram[:, column:column + GRAM_BLOCK_ROWS])
-        diagonal = np.arange(len(rows))
-        gram[diagonal, start + diagonal] -= size
-        mismatches = np.argwhere(gram)
-        if mismatches.size:
-            i, k = (int(v) for v in mismatches[0])
-            total = gram[i, k] + (size if start + i == k else 0)
-            report["pass"] = False
-            report["first_violation"] = {"i": start + i, "k": k, "sum": float(total)}
-            _emit(report, args.pretty)
-            return 2
     report["pass"] = True
+    for k in range(size):
+        sums = verify.fast_transform(verify.sign_column(k, length))
+        sums[k] -= size
+        (wrong,) = sums.nonzero()
+        if wrong.size:
+            i = int(wrong[0])
+            report["pass"] = False
+            report["first_violation"] = {"i": i, "k": k, "sum": float(sums[i]) + size * (i == k)}
+            break
     _emit(report, args.pretty)
-    return 0
+    return 0 if report["pass"] else 2
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:

@@ -183,6 +183,14 @@ class TestSpectrum:
         assert out == want
 
 
+def _negate_first_of_column_5(real, mask, length):
+    # The real view is read-only, so the change goes to a copy.
+    column = real(mask, length).copy()
+    if mask == 5:
+        column[0] = -column[0]
+    return column
+
+
 class TestBasis:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "basis", "--length", "2", "--check", "table")
@@ -207,21 +215,26 @@ class TestBasis:
         assert payload["pairs"] == 64
 
     @pytest.mark.parametrize(
-        "column, violation",
+        "length, column, violation",
         [
             # A zero vector breaks the diagonal: phi_0 . phi_0 sums to 0, not 4.
-            (lambda real, mask, length: real(mask, length) * (mask != 0),
+            (2, lambda real, mask, length: real(mask, length) * (mask != 0),
              {"i": 0, "k": 0, "sum": 0.0}),
             # phi_1 replaced by phi_0 breaks an off-diagonal pair.
-            (lambda real, mask, length: real(mask & ~1, length),
+            (2, lambda real, mask, length: real(mask & ~1, length),
              {"i": 0, "k": 1, "sum": 4.0}),
+            # One flipped entry mid-matrix: phi_0 . phi_5 at L=3 sums to -2, not 0.
+            (3, _negate_first_of_column_5, {"i": 0, "k": 5, "sum": -2.0}),
+            # The last column is checked too: phi_3 replaced by phi_0.
+            (2, lambda real, mask, length: real(mask % 3, length),
+             {"i": 0, "k": 3, "sum": 4.0}),
         ],
-        ids=["diagonal", "off-diagonal"],
+        ids=["diagonal", "off-diagonal", "column-5", "last-column"],
     )
-    def test_orthogonality_reports_true_sum(self, capsys, monkeypatch, column, violation):
+    def test_orthogonality_reports_true_sum(self, capsys, monkeypatch, length, column, violation):
         real = verify.sign_column
         monkeypatch.setattr(verify, "sign_column", lambda mask, length: column(real, mask, length))
-        code, out, _ = run(capsys, "basis", "--length", "2", "--check", "orthogonality")
+        code, out, _ = run(capsys, "basis", "--length", str(length), "--check", "orthogonality")
         assert code == 2
         payload = json.loads(out)
         assert payload["pass"] is False

@@ -30,7 +30,7 @@ from diracpmf import (
     load_dataset,
     parse_pattern,
 )
-from diracpmf import verify
+from diracpmf import cli, verify
 
 TOL = 1e-12
 
@@ -253,9 +253,11 @@ def test_transform_peak_is_two_tables(name, length):
 
 def test_no_oracle_calls_blas():
     # A float64 product of 2^14 entries or more goes to BLAS, whose threads
-    # can stall a call on a small host; the oracles multiply and add instead.
+    # can stall a call on a small host; the oracles and the CLI checks
+    # multiply and add instead.
     blas = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot"}
-    nodes = list(ast.walk(ast.parse(inspect.getsource(verify))))
+    sources = [inspect.getsource(module) for module in (cli, verify)]
+    nodes = [node for source in sources for node in ast.walk(ast.parse(source))]
     assert not [node for node in nodes if isinstance(node, ast.MatMult)]
     # As np.dot, as a bare dot after an import, or as the imported name.
     names = [getattr(node, field, None) for node in nodes for field in ("attr", "id", "name")]

@@ -198,7 +198,8 @@ def test_one_enumeration_constant():
 def test_orthogonality_check_at_l12_stays_under_64_mb():
     # The command reports its own peak RSS, so nothing else this process ran
     # counts. All 2^12 x 2^12 signs and their Gram product in float64 peaked
-    # near 300 MB; int8 signs and float32 row blocks stay under 64 MB.
+    # near 300 MB; one sign column and its float64 transform at a time stay
+    # under 64 MB.
     measured = (
         "import resource\n"
         "from diracpmf.cli import main\n"
