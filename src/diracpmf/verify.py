@@ -9,8 +9,10 @@ module only when one of these is asked for:
   phi_0 = 1. The subset is encoded as an L-bit mask (bit l-1 set iff
   coordinate l participates), and the mask doubles as the basis index.
   phi_S is a tensor (Kronecker) product of one 2-vector per coordinate, so
-  a whole sign vector is built by L doublings of a byte pattern, with no
-  2^L index range and no cache;
+  a whole sign vector is built by L doublings, with no 2^L index range and
+  no cache: of int8 bytes for the numpy vectors (sign_row, sign_column),
+  of an integer bitset, set where the sign is -1, for the exact oracles.
+  The orthogonality, kernel and lemma sums are popcounts of XORed bitsets;
 * the sign-variable lemma: for L variables a_1..a_L in {-1, +1}, the sum
   of all 2^L subset products equals 2^L when every variable is +1 and 0
   otherwise. It is what collapses the expansion to counting, so it gets a
@@ -111,18 +113,28 @@ def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
     return pattern
 
 
-def _column_bytes(mask: int, length: int) -> bytes:
-    """phi_S(x) over all x in word order, for the subset mask S, as int8 bytes.
+def sign_bits(flip_mask: int, length: int, first: int = 1) -> int:
+    """sign_bytes(flip_mask, length, first) as a bitset: bit x is set where sign x is -1.
+
+    The same L doublings run on a Python int, complementing the copy where
+    flip_mask's bit is set. Two bitsets multiply to -1 exactly where they
+    differ, so a sum of 2^L sign products is 2^L - 2 * (a ^ b).bit_count().
+    """
+    check_cap(length)
+    bits = 0 if first > 0 else 1
+    for bit in range(length):
+        width = 1 << bit
+        bits |= (bits ^ ((1 << width) - 1) if flip_mask >> bit & 1 else bits) << width
+    return bits
+
+
+def sign_column(index_mask: int, length: int) -> np.ndarray:
+    """Vector of phi_S(x) over all x in word order, for the subset mask S: a read-only int8 view.
 
     phi_S(0) = (-1)^|S|, and setting bit p of x flips the sign exactly
     when p is in S.
     """
-    return sign_bytes(mask, length, -1 if mask.bit_count() & 1 else 1)
-
-
-def sign_column(index_mask: int, length: int) -> np.ndarray:
-    """Vector of phi_S(x) over all x in word order, for the subset mask S: a read-only int8 view."""
-    return np.frombuffer(_column_bytes(index_mask, length), np.int8)
+    return np.frombuffer(sign_bytes(index_mask, length, (-1) ** index_mask.bit_count()), np.int8)
 
 
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
@@ -147,26 +159,16 @@ def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
     return float(np.add.reduce(row))
 
 
-def _sum_of_sign_products(signs: bytes, other: bytes) -> int:
-    """sum(a * b) over two equally long int8 vectors of +1/-1 bytes, exactly.
-
-    A product is -1 exactly where the two vectors differ, so the sum is the
-    length less twice the number of differing bytes; they are counted in C,
-    with no product array.
-    """
-    differ = np.frombuffer(signs, np.int8) != np.frombuffer(other, np.int8)
-    return len(signs) - 2 * int(np.count_nonzero(differ))
-
-
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation.
 
-    The two int8 sign columns are compared point by point, and every one of
-    the 2^L products is counted.
+    The two sign columns are compared point by point as bitsets, and every
+    one of the 2^L products is counted: -1 where the columns differ.
     """
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
-    return _sum_of_sign_products(_column_bytes(i.mask, i.length), _column_bytes(k.mask, k.length))
+    column_i, column_k = (sign_bits(m, i.length, (-1) ** m.bit_count()) for m in (i.mask, k.mask))
+    return (1 << i.length) - 2 * (column_i ^ column_k).bit_count()
 
 
 @dataclass(frozen=True)
@@ -206,13 +208,13 @@ def lemma1_sum(assignment: SignAssignment) -> int:
     The Kronecker product of the pairs (1, a_p) lists every subset product
     (-1)^(number of -1 entries selected) exactly once, in subset-mask order:
     it is the sign pattern flipped at the -1 variables. The sum counts its
-    +1 bytes; exact integer arithmetic, no numpy.
+    -1 bits; exact integer arithmetic, no numpy.
     """
     minus_mask = 0
     for position, value in enumerate(assignment.values):
         if value == -1:
             minus_mask |= 1 << position
-    return 2 * sign_bytes(minus_mask, assignment.length).count(1) - (1 << assignment.length)
+    return (1 << assignment.length) - 2 * sign_bits(minus_mask, assignment.length).bit_count()
 
 
 def signed_binomial_row_sum(minus_count: int, plus_count: int) -> int:
@@ -255,10 +257,8 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
     """
     _require_equal_length(prototype, query)
     length = prototype.length
-    products = _sum_of_sign_products(
-        sign_bytes(~prototype.word, length), sign_bytes(~query.word, length)
-    )
-    return products / (1 << length)
+    differ = sign_bits(~prototype.word, length) ^ sign_bits(~query.word, length)
+    return ((1 << length) - 2 * differ.bit_count()) / (1 << length)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,8 @@ from diracpmf.verify import (
     eval_basis,
     iter_basis,
     orthogonality_sum,
+    sign_bits,
+    sign_bytes,
     sign_column,
     sign_row,
 )
@@ -211,3 +213,40 @@ def test_sign_vectors_match_eval_basis_at_drawn_points(case):
     want = eval_basis(BasisIndex(mask, length), BitPattern.from_word(word, length))
     assert sign_row(word, length)[mask] == want
     assert sign_column(mask, length)[word] == want
+
+
+def minus_bits(signs: bytes) -> int:
+    """The bitset of the -1 (0xff) bytes of an int8 sign vector: bit x for byte x."""
+    minus = np.frombuffer(signs, np.uint8) == 0xFF
+    return int.from_bytes(np.packbits(minus, bitorder="little").tobytes(), "little")
+
+
+@pytest.mark.parametrize("length", range(1, 9))
+def test_sign_bits_are_the_minus_bytes_of_sign_bytes(length):
+    for mask in range(1 << length):
+        for flip_mask in (mask, ~mask):
+            for first in (1, -1):
+                assert sign_bits(flip_mask, length, first) == minus_bits(
+                    sign_bytes(flip_mask, length, first)
+                )
+
+
+@pytest.mark.parametrize("length", [12, 16])
+def test_sign_bits_are_the_minus_bytes_of_sign_bytes_at_random_masks(length):
+    rng = random.Random(length)
+    for _ in range(50):
+        mask = rng.getrandbits(length)
+        for first in (1, -1):
+            assert sign_bits(mask, length, first) == minus_bits(sign_bytes(mask, length, first))
+
+
+@pytest.mark.parametrize("length", range(1, 7))
+def test_sign_bits_match_eval_basis_everywhere(length):
+    patterns = [BitPattern.from_word(word, length) for word in range(1 << length)]
+    for mask in range(1 << length):
+        index = BasisIndex(mask, length)
+        column = sign_bits(mask, length, (-1) ** mask.bit_count())
+        for word, pattern in enumerate(patterns):
+            want = eval_basis(index, pattern) == -1
+            assert (column >> word & 1 == 1) == want
+            assert (sign_bits(~word, length) >> mask & 1 == 1) == want

@@ -83,6 +83,14 @@ class TestKernels:
                 for b in all_patterns(length):
                     assert abs(kernel_sum(a, b) - kernel_dirac(a, b)) <= TOL
 
+    def test_sum_equals_dirac_exactly(self):
+        # The sum counts integer sign products and divides once by 2^L, so it
+        # is exactly 1.0 or 0.0, with no rounding to forgive.
+        for length in range(1, 7):
+            for a in all_patterns(length):
+                for b in all_patterns(length):
+                    assert kernel_sum(a, b) == kernel_dirac(a, b)
+
     def test_symmetry(self):
         rng = random.Random(3)
         for _ in range(100):
