@@ -247,18 +247,15 @@ def _bench_one_length(
         if queries:
             timing[method]["per_query_s"] = statistics.median(query_times[method])
 
-    agreement = True
-    if queries:
-        baseline = values[methods[0]]
-        for method in methods[1:]:
-            for got, want in zip(values[method], baseline):
-                if abs(got - want) > EQUIVALENCE_TOL:
-                    agreement = False
-        report["agreement"] = agreement
-    else:
-        report["agreement"] = True
+    # Written as <=, so a NaN answer disagrees; with no queries, all() is True.
+    agreement = all(
+        abs(got - want) <= EQUIVALENCE_TOL
+        for method in methods[1:]
+        for got, want in zip(values[method], values[methods[0]])
+    )
+    report["agreement"] = agreement
     report["methods"] = timing
-    if queries and "expansion" in timing and "dirac" in timing:
+    if queries and "expansion" in timing:
         report["speedup_expansion_over_dirac"] = statistics.median(
             expansion / dirac
             for expansion, dirac in zip(query_times["expansion"], query_times["dirac"])

@@ -20,8 +20,8 @@ module only when one of these is asked for:
 * the basis-product and indicator kernels;
 * expansion -- project the sample onto the basis and reconstruct p(x) as
   the coefficient-weighted basis sum;
-* fwht -- push the empirical frequency vector through the fast
-  forward/inverse sign-product transform.
+* fwht -- round-trip the count vector through the fast sign-product
+  transform and divide by N once, which gives count/N exactly.
 """
 from __future__ import annotations
 
@@ -391,8 +391,15 @@ def frequency_vector(dataset: Dataset) -> np.ndarray:
 
 
 def fwht_table(dataset: Dataset) -> np.ndarray:
-    """The fwht estimate of every pattern, indexed by word: the frequencies' round trip."""
-    return _butterfly(_butterfly(frequency_vector(dataset), "forward"), "inverse")
+    """The fwht estimate of every pattern, indexed by word: count/N, exactly.
+
+    The round trip runs on the counts: every partial sum is an integer of
+    size at most 2^L * N < 2^53, so it returns the counts exactly.
+    """
+    check_cap(dataset.length)
+    table = _butterfly(_butterfly(_count_vector(dataset), "forward"), "inverse")
+    table /= dataset.size
+    return table
 
 
 def _read_table(table: np.ndarray, query: BitPattern) -> float:

@@ -327,6 +327,16 @@ class TestBench:
         assert "per_query_s" not in report["methods"]["dirac"]
         assert "speedup_expansion_over_dirac" not in report
 
+    def test_nan_answer_disagrees(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "_read_table", lambda table, query: float("nan"))
+        code, out, err = run(
+            capsys, "bench", "--length", "4", "--samples", "30",
+            "--queries", "25", "--seed", "7",
+        )
+        assert code == 2
+        assert json.loads(out)["reports"][0]["agreement"] is False
+        assert err == "error: estimation paths disagree beyond tolerance\n"
+
     @pytest.mark.parametrize("flag", ["--samples", "--queries"])
     def test_negative_counts_exit_one(self, capsys, monkeypatch, flag):
         def no_fit(*args):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracpmf import (
     BasisIndex,
@@ -347,6 +349,35 @@ class TestEstimates:
                 assert abs(
                     estimate_expansion(spectrum, query) - estimate_dirac(dataset, query)
                 ) <= TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda length: st.tuples(
+        st.just(length), st.lists(st.integers(0, (1 << length) - 1), min_size=1, max_size=300),
+    )))
+    def test_fwht_is_count_over_n_exactly(self, case):
+        length, words = case
+        dataset = dataset_from_words(words, length)
+        table = verify.fwht_table(dataset)
+        fwht = PmfEstimate.fit(dataset, "fwht")
+        for query in all_patterns(length):
+            dirac = estimate_dirac(dataset, query)
+            assert table[query.word] == fwht(query) == dirac
+        for word in {words[0], words[-1], (1 << length) - 1}:
+            query = BitPattern.from_word(word, length)
+            assert estimate_fwht(dataset, query) == estimate_dirac(dataset, query)
+
+    def test_fwht_is_count_over_n_exactly_at_l18(self):
+        dataset = random_dataset(random.Random(18), 18, 10**5)
+        dirac = np.zeros(1 << 18)
+        for word in dataset.counts:
+            dirac[word] = estimate_dirac(dataset, BitPattern.from_word(word, 18))
+        assert np.array_equal(verify.fwht_table(dataset), dirac)
+        fwht = PmfEstimate.fit(dataset, "fwht")
+        assert np.array_equal(fwht.table, dirac)
+        unseen = next(word for word in range(1 << 18) if word not in dataset.counts)
+        for word in (next(iter(dataset.counts)), unseen):
+            query = BitPattern.from_word(word, 18)
+            assert estimate_fwht(dataset, query) == fwht(query) == estimate_dirac(dataset, query)
 
     def test_normalization_and_nonnegativity(self):
         rng = random.Random(23)

@@ -1,11 +1,11 @@
 """One enumeration limit: no call walks more than 2^24 terms, and a refusal
 comes before the walk's first 2^L allocation."""
-import contextlib
 import inspect
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -136,39 +136,87 @@ def test_fwht_estimate_on_l40_file_exits_one_without_traceback(capsys, tmp_path)
     assert "Traceback" not in captured.err
 
 
+def run_cli(*argvs):
+    """Run diracpmf.cli.main(argv) for each argv in its own fresh child, side by side.
+
+    Returns one (exit code, stdout, peak RSS in KiB) per argv. The child
+    writes the command's stdout to a file: a pipe's reader or a StringIO
+    holding it would itself raise the RSS being measured.
+    """
+    source = os.path.dirname(os.path.dirname(diracpmf.__file__))
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    children = []
+    try:
+        for argv in argvs:
+            measured = (
+                "import resource, sys\n"
+                "from diracpmf.cli import main\n"
+                f"status = main({list(argv)!r})\n"
+                "sys.stdout.flush()\n"
+                "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            )
+            # ru_maxrss also counts the image a process replaced at exec, here the
+            # forking process; so the command runs from a small launcher, not
+            # straight from this large test process. The launcher needs no site (-S).
+            launcher = (
+                "import subprocess, sys\n"
+                f"sys.exit(subprocess.run([sys.executable, '-c', {measured!r}]).returncode)\n"
+            )
+            out = tempfile.TemporaryFile("w+")
+            children.append((out, subprocess.Popen(
+                [sys.executable, "-S", "-c", launcher], env=dict(os.environ, PYTHONPATH=path),
+                stdout=out, stderr=subprocess.PIPE, text=True,
+            )))
+        results = []
+        for out, child in children:
+            err = child.communicate(timeout=300)[1]
+            assert child.returncode == 0, err
+            status, max_rss_kb = err.splitlines()[-1].split()
+            out.seek(0)
+            results.append((int(status), out.read(), int(max_rss_kb)))
+        return results
+    finally:
+        for out, child in children:
+            child.kill()
+            out.close()
+
+
+def words_file(directory, length):
+    """200 random words of the given length, one a line."""
+    rng = random.Random(16)
+    path = directory / f"l{length}.txt"
+    path.write_text("".join(f"{rng.getrandbits(length):0{length}b}\n" for _ in range(200)))
+    return str(path)
+
+
+def assert_streams(argv_at):
+    """The command argv_at(16) writes its 2^16 entries in under 8 MiB more
+    peak RSS than the same command at L=1."""
+    (code, out, peak), (base_code, _, base_peak) = run_cli(argv_at(16), argv_at(1))
+    assert code == base_code == 0
+    assert out.count('"mask": ') == 1 << 16
+    assert peak - base_peak < 8 << 10
+
+
 @pytest.mark.parametrize("flag", ["--json", "--pretty"])
 def test_spectrum_writes_its_entries_without_holding_them(tmp_path, flag):
-    rng = random.Random(16)
-    path = tmp_path / "l16.txt"
-    path.write_text("".join(f"{rng.getrandbits(16):016b}\n" for _ in range(200)))
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            code = main(["spectrum", "--input", str(path), flag])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    # The fit's two float64 vectors of 2^16 take 1 MB; a list of all 2^16
-    # entry dicts would take ~25 MB more.
-    assert peak < 8 << 20
+    # The fit's two float64 vectors of 2^16 take 1 MB. A writer holding every
+    # entry grew the peak by 26 MiB (--json) and 68 MiB (--pretty).
+    inputs = {length: words_file(tmp_path, length) for length in (1, 16)}
+    assert_streams(lambda length: ["spectrum", "--input", inputs[length], flag])
 
 
-@pytest.mark.parametrize("ordering", ["canonical", "by_cardinality"])
-def test_basis_table_writes_its_entries_without_holding_them(ordering):
-    # --json only: --pretty streams through the same writer, and tracing the
-    # pure-Python indenting encoder would take tens of seconds at L=16.
-    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        tracemalloc.start()
-        try:
-            code = main(["basis", "--length", "16", "--ordering", ordering, "--json"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert code == 0
-    # 1024 entries at a time take ~3 MB; all 2^16 entry dicts and the whole
-    # JSON text would take ~30 MB more.
-    assert peak < 8 << 20
+@pytest.mark.parametrize(
+    "ordering, flag",
+    [("canonical", "--json"), ("by_cardinality", "--json"), ("canonical", "--pretty")],
+    ids=["canonical", "by_cardinality", "canonical-pretty"],
+)
+def test_basis_table_writes_its_entries_without_holding_them(ordering, flag):
+    # 1024 entries at a time take ~3 MB. A writer holding every entry grew
+    # the peak by 35 MiB (--json) and 116 MiB (--pretty).
+    assert_streams(lambda length: [
+        "basis", "--length", str(length), "--ordering", ordering, flag,
+    ])
 
 
 def test_no_function_takes_a_cap():
@@ -201,27 +249,7 @@ def test_orthogonality_check_at_l12_stays_under_64_mb():
     # counts. All 2^12 x 2^12 signs and their Gram product in float64 peaked
     # near 300 MB; one sign column and its float64 transform at a time stay
     # under 64 MB.
-    measured = (
-        "import resource\n"
-        "from diracpmf.cli import main\n"
-        "status = main(['basis', '--length', '12', '--check', 'orthogonality'])\n"
-        "print(status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-    )
-    # ru_maxrss also counts the image a process replaced at exec, here the
-    # forking process; so the command runs from a small launcher, not
-    # straight from this large test process.
-    launcher = (
-        "import subprocess, sys\n"
-        f"sys.exit(subprocess.run([sys.executable, '-c', {measured!r}]).returncode)\n"
-    )
-    source = os.path.dirname(os.path.dirname(diracpmf.__file__))
-    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher], env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True, text=True, timeout=300, check=True,
-    )
-    report, status = proc.stdout.splitlines()
-    assert report == '{"L": 12, "check": "orthogonality", "pairs": 16777216, "pass": true}'
-    exit_code, max_rss_kb = status.split()
-    assert exit_code == "0"
-    assert int(max_rss_kb) < 64 << 10
+    [(code, report, max_rss_kb)] = run_cli(["basis", "--length", "12", "--check", "orthogonality"])
+    assert report == '{"L": 12, "check": "orthogonality", "pairs": 16777216, "pass": true}\n'
+    assert code == 0
+    assert max_rss_kb < 64 << 10
