@@ -65,13 +65,9 @@ def _pack(text: str) -> tuple[str, int]:
     """
     digits = text.strip()
     if not digits or digits.translate(_DROP_DIGITS):
-        kept = []
-        for char in digits:
-            if char in "01":
-                kept.append(char)
-            elif char != "," and not char.isspace():
-                raise IllegalCharacter(f"illegal character {char!r} in pattern {text!r}")
-        digits = "".join(kept)
+        digits = "".join(digits.replace(",", " ").split())
+        if illegal := digits.translate(_DROP_DIGITS):
+            raise IllegalCharacter(f"illegal character {illegal[0]!r} in pattern {text!r}")
         if not digits:
             raise EmptyInput("pattern text contains no digits")
     if len(digits) > MAX_LENGTH:

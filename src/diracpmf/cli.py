@@ -123,8 +123,9 @@ def cmd_basis(args: argparse.Namespace) -> int:
     # must be 2^L at i = k, else 0. It trusts the butterfly to match sign_bytes.
     check_cap(2 * length)
     size = 1 << length
-    report: dict[str, Any] = {"L": length, "check": "orthogonality", "pairs": size * size}
-    report["pass"] = True
+    report: dict[str, Any] = {
+        "L": length, "check": "orthogonality", "pairs": size * size, "pass": True
+    }
     for k in range(size):
         sums = verify.fast_transform(verify.sign_column(k, length))
         sums[k] -= size
@@ -162,15 +163,11 @@ def cmd_lemma(args: argparse.Namespace) -> int:
         return 0 if total == expected else 2
 
     check_cap(2 * length)
-    all_pass = True
-    for minus_mask in range(1 << length):
-        values = tuple(-1 if (minus_mask >> p) & 1 else 1 for p in range(length))
-        assignment = SignAssignment(values)
-        total = lemma1_sum(assignment)
-        expected = (1 << length) if minus_mask == 0 else 0
-        if total != expected:
-            all_pass = False
-            break
+    all_pass = all(
+        lemma1_sum(SignAssignment(tuple(-1 if minus_mask >> p & 1 else 1 for p in range(length))))
+        == (0 if minus_mask else 1 << length)
+        for minus_mask in range(1 << length)
+    )
     _emit(
         {"L": length, "assignments": 1 << length, "all_pass": all_pass},
         args.pretty,

@@ -61,10 +61,7 @@ class PmfEstimate(_Frozen):
             answer = MethodType(estimate_expansion, spectrum)
         elif method == "fwht":
             from .verify import _read_table, fwht_table
-            # Round-trip once at fit time; queries then read a table entry,
-            # which is read-only, so no caller can change a later answer.
             table = fwht_table(dataset)
-            table.setflags(write=False)
             answer = MethodType(_read_table, table)
         else:
             raise ValueError(f"unknown estimation method {method!r}")

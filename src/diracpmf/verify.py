@@ -33,13 +33,11 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .bitspace import BitPattern, Dataset, _check_length, check_cap
+from .bitspace import MAX_LENGTH, BitPattern, Dataset, _check_length, check_cap
 from .errors import LengthMismatch, NotPowerOfTwo, RangeError
 
 #: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
-
-MAX_BINOMIAL_N = 60
 
 
 @dataclass(frozen=True, init=False)
@@ -82,16 +80,18 @@ def iter_basis(length: int, ordering: Ordering = "canonical") -> Iterator[int]:
     raise ValueError(f"unknown ordering {ordering!r}")
 
 
+def _same_length(kind: str, length: int, pattern: BitPattern) -> None:
+    if length != pattern.length:
+        raise LengthMismatch(f"{kind} length {length} != pattern length {pattern.length}")
+
+
 def eval_basis(index: BasisIndex, pattern: BitPattern) -> int:
     """Evaluate phi_S(x) = prod_{l in S} (2x_l - 1) in {-1, +1}.
 
     Computed as (-1)^(number of zero coordinates inside S) via popcount;
     the equivalence with the literal product is property-tested.
     """
-    if index.length != pattern.length:
-        raise LengthMismatch(
-            f"basis length {index.length} != pattern length {pattern.length}"
-        )
+    _same_length("basis", index.length, pattern)
     zeros_in_subset = index.mask & ~pattern.word
     return -1 if zeros_in_subset.bit_count() & 1 else 1
 
@@ -113,15 +113,16 @@ def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
     return pattern
 
 
-def sign_bits(flip_mask: int, length: int, first: int = 1) -> int:
-    """sign_bytes(flip_mask, length, first) as a bitset: bit x is set where sign x is -1.
+def sign_bits(flip_mask: int, length: int) -> int:
+    """sign_bytes(flip_mask, length) as a bitset: bit y is set where sign y is -1.
 
     The same L doublings run on a Python int, complementing the copy where
-    flip_mask's bit is set. Two bitsets multiply to -1 exactly where they
-    differ, so a sum of 2^L sign products is 2^L - 2 * (a ^ b).bit_count().
+    flip_mask's bit is set. For a subset mask m, bit y is set where
+    phi_m(~y) = -1. Two bitsets multiply to -1 exactly where they differ, so
+    a sum of 2^L sign products is 2^L - 2 * (a ^ b).bit_count().
     """
     check_cap(length)
-    bits = 0 if first > 0 else 1
+    bits = 0
     for bit in range(length):
         width = 1 << bit
         bits |= (bits ^ ((1 << width) - 1) if flip_mask >> bit & 1 else bits) << width
@@ -162,12 +163,13 @@ def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation.
 
-    The two sign columns are compared point by point as bitsets, and every
-    one of the 2^L products is counted: -1 where the columns differ.
+    The two sign columns are compared point by point as bitsets, with the
+    points indexed by ~x, and every one of the 2^L products is counted: -1
+    where the columns differ.
     """
     if i.length != k.length:
         raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
-    column_i, column_k = (sign_bits(m, i.length, (-1) ** m.bit_count()) for m in (i.mask, k.mask))
+    column_i, column_k = sign_bits(i.mask, i.length), sign_bits(k.mask, i.length)
     return (1 << i.length) - 2 * (column_i ^ column_k).bit_count()
 
 
@@ -229,8 +231,8 @@ def signed_binomial_row_sum(minus_count: int, plus_count: int) -> int:
     length = minus_count + plus_count
     if length < 1:
         raise RangeError("need at least one variable")
-    if length > MAX_BINOMIAL_N:
-        raise RangeError(f"L={length} exceeds the binomial range {MAX_BINOMIAL_N}")
+    if length > MAX_LENGTH:
+        raise RangeError(f"L={length} exceeds {MAX_LENGTH}")
     if minus_count == 0:
         return sum(math.comb(length, row) for row in range(length + 1))
     alternating = sum(
@@ -239,14 +241,9 @@ def signed_binomial_row_sum(minus_count: int, plus_count: int) -> int:
     return (1 << plus_count) * alternating
 
 
-def _require_equal_length(a: BitPattern, b: BitPattern) -> None:
-    if a.length != b.length:
-        raise LengthMismatch(f"pattern lengths differ: {a.length} != {b.length}")
-
-
 def kernel_dirac(prototype: BitPattern, query: BitPattern) -> float:
     """Indicator kernel: 1 if the patterns agree elementwise, else 0."""
-    _require_equal_length(prototype, query)
+    _same_length("prototype", prototype.length, query)
     return 1.0 if prototype.word == query.word else 0.0
 
 
@@ -255,7 +252,7 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
 
     Returns sum_i phi_i(prototype) * phi_i(query) / 2^L.
     """
-    _require_equal_length(prototype, query)
+    _same_length("prototype", prototype.length, query)
     length = prototype.length
     differ = sign_bits(~prototype.word, length) ^ sign_bits(~query.word, length)
     return ((1 << length) - 2 * differ.bit_count()) / (1 << length)
@@ -298,6 +295,7 @@ class Spectrum:
 
 def _count_vector(dataset: Dataset) -> np.ndarray:
     """The dataset's counts over all 2^L patterns, indexed by word, as float64."""
+    check_cap(dataset.length)
     vector = np.zeros(1 << dataset.length)
     for word, count in dataset.counts.items():
         vector[word] = count
@@ -313,7 +311,6 @@ def estimate_coefficients(dataset: Dataset) -> Spectrum:
     once. The fit costs O(L * 2^L) whatever the sample, and holds two
     float64 vectors; no BLAS call.
     """
-    check_cap(dataset.length)
     total = _butterfly(_count_vector(dataset), "forward")
     total /= dataset.size * (1 << dataset.length)
     return Spectrum(dataset.length, dataset.size, total)
@@ -321,10 +318,7 @@ def estimate_coefficients(dataset: Dataset) -> Spectrum:
 
 def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
     """Reconstruct p(query) as the full coefficient-weighted basis sum."""
-    if spectrum.length != query.length:
-        raise LengthMismatch(
-            f"spectrum length {spectrum.length} != pattern length {query.length}"
-        )
+    _same_length("spectrum", spectrum.length, query)
     return _sum_of_products(sign_row(query.word, spectrum.length), spectrum.coefficients)
 
 
@@ -384,7 +378,6 @@ def _butterfly(data: np.ndarray, direction: Direction) -> np.ndarray:
 
 def frequency_vector(dataset: Dataset) -> np.ndarray:
     """Empirical frequencies over all 2^L patterns, indexed by word."""
-    check_cap(dataset.length)
     freq = _count_vector(dataset)
     freq /= dataset.size
     return freq
@@ -394,28 +387,23 @@ def fwht_table(dataset: Dataset) -> np.ndarray:
     """The fwht estimate of every pattern, indexed by word: count/N, exactly.
 
     The round trip runs on the counts: every partial sum is an integer of
-    size at most 2^L * N < 2^53, so it returns the counts exactly.
+    size at most 2^L * N < 2^53, so it returns the counts exactly. The
+    table is read-only, so no caller can change a later answer.
     """
-    check_cap(dataset.length)
     table = _butterfly(_butterfly(_count_vector(dataset), "forward"), "inverse")
     table /= dataset.size
+    table.setflags(write=False)
     return table
 
 
 def _read_table(table: np.ndarray, query: BitPattern) -> float:
     """p(query) read from an fwht_table: the entry at the query's word."""
-    if len(table) != 1 << query.length:
-        raise LengthMismatch(
-            f"table length {len(table).bit_length() - 1} != pattern length {query.length}"
-        )
+    _same_length("table", len(table).bit_length() - 1, query)
     return float(table[query.word])
 
 
 def estimate_fwht(dataset: Dataset, query: BitPattern) -> float:
     """Read p(query) from the fwht round trip of the whole dataset."""
     # Checked before the fit, so a wrong query costs no 2^L work.
-    if dataset.length != query.length:
-        raise LengthMismatch(
-            f"dataset length {dataset.length} != pattern length {query.length}"
-        )
+    _same_length("dataset", dataset.length, query)
     return _read_table(fwht_table(dataset), query)

@@ -225,10 +225,7 @@ def minus_bits(signs: bytes) -> int:
 def test_sign_bits_are_the_minus_bytes_of_sign_bytes(length):
     for mask in range(1 << length):
         for flip_mask in (mask, ~mask):
-            for first in (1, -1):
-                assert sign_bits(flip_mask, length, first) == minus_bits(
-                    sign_bytes(flip_mask, length, first)
-                )
+            assert sign_bits(flip_mask, length) == minus_bits(sign_bytes(flip_mask, length))
 
 
 @pytest.mark.parametrize("length", [12, 16])
@@ -236,8 +233,7 @@ def test_sign_bits_are_the_minus_bytes_of_sign_bytes_at_random_masks(length):
     rng = random.Random(length)
     for _ in range(50):
         mask = rng.getrandbits(length)
-        for first in (1, -1):
-            assert sign_bits(mask, length, first) == minus_bits(sign_bytes(mask, length, first))
+        assert sign_bits(mask, length) == minus_bits(sign_bytes(mask, length))
 
 
 @pytest.mark.parametrize("length", range(1, 7))
@@ -245,8 +241,8 @@ def test_sign_bits_match_eval_basis_everywhere(length):
     patterns = [BitPattern.from_word(word, length) for word in range(1 << length)]
     for mask in range(1 << length):
         index = BasisIndex(mask, length)
-        column = sign_bits(mask, length, (-1) ** mask.bit_count())
+        column = sign_bits(mask, length)  # bit y is phi_mask at the point ~y
         for word, pattern in enumerate(patterns):
             want = eval_basis(index, pattern) == -1
-            assert (column >> word & 1 == 1) == want
+            assert (column >> (~word & ((1 << length) - 1)) & 1 == 1) == want
             assert (sign_bits(~word, length) >> mask & 1 == 1) == want

@@ -285,6 +285,28 @@ class TestLemma:
         assert payload["all_pass"] is True
         assert payload["assignments"] == 1024
 
+    @pytest.mark.parametrize("wrong_mask", [0, 15], ids=["first", "last"])
+    def test_exhaustive_wrong_sum_exits_two(self, capsys, monkeypatch, wrong_mask):
+        real, calls = verify.lemma1_sum, []
+
+        def wrong_once(assignment):
+            calls.append(assignment)
+            mask = sum(1 << p for p, value in enumerate(assignment.values) if value == -1)
+            return real(assignment) + (mask == wrong_mask)
+
+        monkeypatch.setattr(verify, "lemma1_sum", wrong_once)
+        code, out, _ = run(capsys, "lemma", "--length", "4")
+        assert code == 2
+        assert json.loads(out) == {"L": 4, "assignments": 16, "all_pass": False}
+        # The walk stops at the first wrong sum.
+        assert len(calls) == wrong_mask + 1
+
+    def test_signs_wrong_sum_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "lemma1_sum", lambda assignment: 1)
+        code, out, _ = run(capsys, "lemma", "--length", "3", "--signs", "+-+")
+        assert code == 2
+        assert json.loads(out) == {"L": 3, "signs": "+-+", "sum": 1, "expected": 0, "pass": False}
+
     def test_bad_signs(self, capsys):
         code, _, err = run(capsys, "lemma", "--length", "3", "--signs", "+0-")
         assert code == 1

@@ -119,6 +119,14 @@ class TestSignedBinomialRowSum:
         with pytest.raises(RangeError):
             signed_binomial_row_sum(40, 40)
 
+    def test_range_is_the_pattern_range(self):
+        # 1 <= L <= 64, the range of every other length in the package.
+        assert signed_binomial_row_sum(0, 64) == 1 << 64
+        assert signed_binomial_row_sum(1, 63) == 0
+        for minus, plus in [(0, 65), (65, 0)]:
+            with pytest.raises(RangeError):
+                signed_binomial_row_sum(minus, plus)
+
 
 def test_sign_assignment_validation():
     with pytest.raises(RangeError):

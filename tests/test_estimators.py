@@ -142,88 +142,44 @@ class TestCoefficients:
             assert spectrum.coefficients[mask] == pytest.approx(expected, abs=TOL)
 
     @pytest.mark.parametrize(
-        "length, distinct", [(1, 1), (1, 2), (10, 1), (10, 9), (10, 300), (18, 1), (18, 2)]
-    )
-    def test_equals_per_word_basis_sum(self, length, distinct):
-        rng = random.Random(length * 1000 + distinct)
-        words = rng.sample(range(1 << length), distinct)
-        dataset = dataset_from_words(
-            [word for i, word in enumerate(words) for _ in range(1 + i % 3)], length
-        )
-        spectrum = estimate_coefficients(dataset)
-        patterns = [BitPattern.from_word(word, length) for word in words]
-        masks = range(1 << length)
-        if length > 10:
-            masks = [0, (1 << length) - 1] + rng.sample(masks, 2000)
-        for mask in masks:
-            index = BasisIndex(mask, length)
-            total = sum(
-                dataset.counts[pattern.word] * eval_basis(index, pattern) for pattern in patterns
-            )
-            assert spectrum.coefficients[mask] == total / (dataset.size * (1 << length))
-
-    @pytest.mark.parametrize(
         "length, counts",
         [
-            # Large counts, up to 2000, summed exactly by the butterfly; the
-            # ids name the int8 block fit these inputs were first written for.
-            pytest.param(1, [128, 1], id="L1-over-int8"),
-            pytest.param(2, [1, 3, 3, 300], id="L2-under-a-block"),
-            pytest.param(6, [2] * 19 + [1] * 17, id="more-words-of-a-count-than-a-block"),
-            pytest.param(8, [1 + 7 * i for i in range(40)], id="many-count-values"),
-            pytest.param(11, [15, 16, 127, 128, 2000] * 8, id="full-blocks-of-counts-up-to-2000"),
-            # Odd L: an odd number of butterfly stages, which end in the
+            pytest.param(length, [1 + i % 3 for i in range(distinct)], id=f"{length}-{distinct}")
+            for length, distinct in [(1, 1), (1, 2), (10, 1), (10, 9), (10, 300), (18, 1), (18, 2)]
+        ]
+        + [
+            # Large counts, up to 2000, summed exactly by the butterfly; odd
+            # L takes an odd number of butterfly stages, which end in the
             # transform's second vector.
-            pytest.param(3, [1, 2, 16, 1, 1], id="L3-unequal-halves"),
-            pytest.param(13, [1, 15, 16, 300] * 5, id="L13-unequal-halves"),
+            pytest.param(length, counts, id=f"{length}-{len(counts)}-max{max(counts)}")
+            for length, counts in [
+                (1, [128, 1]),
+                (2, [1, 3, 3, 300]),
+                (3, [1, 2, 16, 1, 1]),
+                (6, [2] * 19 + [1] * 17),
+                (8, [1 + 7 * i for i in range(40)]),
+                (11, [15, 16, 127, 128, 2000] * 8),
+                (13, [1, 15, 16, 300] * 5),
+            ]
         ],
     )
-    def test_block_edges_equal_per_word_basis_sum(self, length, counts):
-        rng = random.Random(length)
+    def test_equals_per_word_basis_sum(self, length, counts):
+        rng = random.Random(length * 1000 + len(counts))
         words = rng.sample(range(1 << length), len(counts))
         dataset = dataset_from_words(
             [word for word, count in zip(words, counts) for _ in range(count)], length
         )
         spectrum = estimate_coefficients(dataset)
         patterns = [BitPattern.from_word(word, length) for word in words]
-        for mask in range(1 << length):
+        masks = range(1 << length)
+        if length > 13:
+            masks = [0, (1 << length) - 1] + rng.sample(masks, 2000)
+        for mask in masks:
             index = BasisIndex(mask, length)
             total = sum(
                 count * eval_basis(index, pattern) for pattern, count in zip(patterns, counts)
             )
             assert spectrum.coefficients[mask] == total / (dataset.size * (1 << length))
-
-    @pytest.mark.parametrize(
-        "length, distinct, count",
-        [
-            pytest.param(length, distinct, lambda i: 1, id=f"{length}-{distinct}")
-            for length, distinct in [
-                (13, 1), (13, 8192), (14, 1), (14, 9), (14, 5000), (14, 16384),
-                (15, 9), (15, 5000), (18, 3),
-            ]
-        ]
-        + [pytest.param(14, 16384, lambda i: 3, id="14-16384-each-thrice")]
-        + [
-            pytest.param(length, 5000, lambda i: 1 + i % 40, id=f"{length}-5000-mixed-counts")
-            for length in (13, 14, 15)
-        ],
-    )
-    def test_peak_memory_does_not_grow_with_distinct_words(self, length, distinct, count):
-        rng = random.Random(distinct)
-        words = rng.sample(range(1 << length), distinct)
-        dataset = dataset_from_words(
-            [word for i, word in enumerate(words) for _ in range(count(i))], length
-        )
-        tracemalloc.start()
-        try:
-            estimate_coefficients(dataset)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # The float64 count vector and the butterfly's second vector (8 B an
-        # entry each), one of which becomes the coefficients, and a few
-        # small objects; the rest of the bound is slack.
-        assert peak <= 2 * (8 << length) + (2 << length) + (64 << 10) + 4096
 
     def test_bound_and_integrality(self):
         rng = random.Random(13)
@@ -244,14 +200,51 @@ TRANSFORMS = {
 }
 
 
-@pytest.mark.parametrize("length", [10, 13, 14, 16])
-@pytest.mark.parametrize("name", TRANSFORMS)
-def test_transform_peak_is_two_tables(name, length):
+#: Datasets on which the fit's peak must not grow with the distinct words or
+#: their counts: (L, distinct words, count of the i-th word, id).
+SPREAD_DATASETS = [
+    *[
+        (length, distinct, lambda i: 1, f"{length}-{distinct}")
+        for length, distinct in [
+            (13, 1), (13, 8192), (14, 1), (14, 9), (14, 5000), (14, 16384),
+            (15, 9), (15, 5000), (18, 3),
+        ]
+    ],
+    (14, 16384, lambda i: 3, "14-16384-each-thrice"),
+    *[
+        (length, 5000, lambda i: 1 + i % 40, f"{length}-5000-mixed-counts")
+        for length in (13, 14, 15)
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "name, length, spread",
+    [
+        pytest.param(name, length, None, id=f"{name}-{length}")
+        for name in TRANSFORMS
+        for length in [10, 13, 14, 16]
+    ]
+    + [
+        pytest.param(
+            "estimate_coefficients", length, (distinct, count), id=f"estimate_coefficients-{case}"
+        )
+        for length, distinct, count, case in SPREAD_DATASETS
+    ],
+)
+def test_transform_peak_is_two_tables(name, length, spread):
     # One float64 vector of 2^L and the butterfly's second vector; a stage
     # that made numpy buffer its operands would add 3 x 64 KiB at L <= 14.
     rng = random.Random(length)
     values = np.array([rng.random() for _ in range(1 << length)])
-    dataset = random_dataset(rng, length, 2000)
+    if spread is None:
+        dataset = random_dataset(rng, length, 2000)
+    else:
+        distinct, count = spread
+        words = random.Random(distinct).sample(range(1 << length), distinct)
+        dataset = dataset_from_words(
+            [word for i, word in enumerate(words) for _ in range(count(i))], length
+        )
     tracemalloc.start()
     try:
         TRANSFORMS[name](values, dataset)
@@ -358,6 +351,7 @@ class TestEstimates:
         length, words = case
         dataset = dataset_from_words(words, length)
         table = verify.fwht_table(dataset)
+        assert not table.flags.writeable
         fwht = PmfEstimate.fit(dataset, "fwht")
         for query in all_patterns(length):
             dirac = estimate_dirac(dataset, query)
