@@ -243,27 +243,25 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
         line_counts.update(block)
         # The new keys, in order of first appearance: the first bad key is the first bad line.
         for raw in reversed(list(islice(reversed(line_counts), len(line_counts) - seen))):
-            # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF.
-            if not raw.isascii():
-                for char in raw:
-                    if "\udc80" <= char <= "\udcff":
-                        byte = f"byte {ord(char) - 0xDC00:#04x} is not UTF-8"
-                        raise DiracPmfError(f"line {first + block.index(raw)}: {byte}")
-            line = raw.strip()
-            if not line or line[0] == "#":
-                words.append(None)
-                continue
             try:
+                # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF.
+                if not raw.isascii():
+                    for char in raw:
+                        if "\udc80" <= char <= "\udcff":
+                            raise DiracPmfError(f"byte {ord(char) - 0xDC00:#04x} is not UTF-8")
+                line = raw.strip()
+                if not line or line[0] == "#":
+                    words.append(None)
+                    continue
                 digits, word = _pack(line)
-            except (EmptyInput, IllegalCharacter, LengthOutOfRange) as exc:
+                if len(digits) != length:
+                    if length is not None:
+                        raise RaggedLengths(
+                            f"pattern {line!r} has length {len(digits)}, expected {length}"
+                        )
+                    length = len(digits)
+            except DiracPmfError as exc:
                 raise type(exc)(f"line {first + block.index(raw)}: {exc}") from exc
-            if len(digits) != length:
-                if length is not None:
-                    raise RaggedLengths(
-                        f"line {first + block.index(raw)}: pattern {line!r} has length "
-                        f"{len(digits)}, expected {length}"
-                    )
-                length = len(digits)
             words.append(word)
         first += len(block)
     if length is None:

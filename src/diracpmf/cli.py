@@ -2,8 +2,8 @@
 
 Subcommands: estimate, spectrum, basis, lemma, bench. All results go to
 stdout as JSON; diagnostics go to stderr. Exit codes: 0 on success, 1 on
-usage/data errors, 2 if the estimation paths ever disagree (which would
-falsify the equivalence the whole package rests on).
+usage/data errors, 2 if the estimation paths disagree (which would falsify
+the equivalence the package rests on) or a lemma or orthogonality check fails.
 """
 from __future__ import annotations
 
@@ -37,7 +37,10 @@ BENCH_WARMUP_S = 0.2
 
 
 class _Parser(argparse.ArgumentParser):
-    """Ends a usage error in DiracPmfError, so main exits 1; exit 2 is the paths disagreeing."""
+    """Ends a usage error in DiracPmfError, so main exits 1.
+
+    Exit 2 is a failed check: the paths disagree, or a lemma or orthogonality check fails.
+    """
 
     def error(self, message: str) -> NoReturn:
         # Escaped, so an argument that argparse quotes cannot break the one error line.
@@ -203,10 +206,10 @@ def _bench_one_length(
     }
 
     # Warm up for one full round and at least BENCH_WARMUP_S, excluded from
-    # the medians. Transients left by earlier work must die down first: for
-    # about 0.1 s after a matrix product an OpenBLAS worker keeps spinning,
-    # and on a 2-vCPU host that made the expansion queries here up to 2x
-    # slower while the dirac lookups barely slowed.
+    # the medians: the first cell in a fresh process starts cold. With one
+    # round only, 20 fresh criterion-7 runs on a 2-vCPU host read an L=8 ratio
+    # up to 17.6 against 16.4 with the minimum, though 60 alternating pairs
+    # later read no difference (max 18.3 both ways); the minimum stays.
     warm_until = time.perf_counter() + BENCH_WARMUP_S
     while True:
         for method in methods:

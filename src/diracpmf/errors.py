@@ -11,7 +11,7 @@ class EmptyInput(DiracPmfError, ValueError):
 
 
 class IllegalCharacter(DiracPmfError, ValueError):
-    """A pattern string contained something other than '0', '1' or ','."""
+    """A pattern string contained something other than '0', '1', ',' or whitespace."""
 
 
 class LengthMismatch(DiracPmfError, ValueError):

@@ -12,7 +12,9 @@ module only when one of these is asked for:
   a whole sign vector is built by L doublings, with no 2^L index range and
   no cache: of int8 bytes for the numpy vectors (sign_row, sign_column),
   of an integer bitset, set where the sign is -1, for the exact oracles.
-  The orthogonality, kernel and lemma sums are popcounts of XORed bitsets;
+  One convention: index i of the vector of mask m holds (-1)^popcount(i & m),
+  so phi_S(x) is entry ~x of the vector of S and entry S of that of ~x. The
+  orthogonality, kernel and lemma sums are popcounts of XORed bitsets;
 * the sign-variable lemma: for L variables a_1..a_L in {-1, +1}, the sum
   of all 2^L subset products equals 2^L when every variable is +1 and 0
   otherwise. It is what collapses the expansion to counting, so it gets a
@@ -96,8 +98,8 @@ def eval_basis(index: BasisIndex, pattern: BitPattern) -> int:
     return -1 if zeros_in_subset.bit_count() & 1 else 1
 
 
-def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
-    """The signs first * (-1)^popcount(i & flip_mask) for i in 0..2^L-1, as int8 bytes.
+def sign_bytes(flip_mask: int, length: int) -> bytes:
+    """The signs (-1)^popcount(i & flip_mask) for i in 0..2^L-1, as int8 bytes.
 
     This is the Kronecker product of the pairs (1, -1) for the bits set in
     flip_mask and (1, 1) for the others, built by L doublings: each appends
@@ -107,7 +109,7 @@ def sign_bytes(flip_mask: int, length: int, first: int = 1) -> bytes:
     exactly where x is 0.
     """
     check_cap(length)
-    pattern = b"\x01" if first > 0 else b"\xff"
+    pattern = b"\x01"
     for bit in range(length):
         pattern += pattern.translate(_NEGATE) if flip_mask >> bit & 1 else pattern
     return pattern
@@ -117,9 +119,8 @@ def sign_bits(flip_mask: int, length: int) -> int:
     """sign_bytes(flip_mask, length) as a bitset: bit y is set where sign y is -1.
 
     The same L doublings run on a Python int, complementing the copy where
-    flip_mask's bit is set. For a subset mask m, bit y is set where
-    phi_m(~y) = -1. Two bitsets multiply to -1 exactly where they differ, so
-    a sum of 2^L sign products is 2^L - 2 * (a ^ b).bit_count().
+    flip_mask's bit is set. Two bitsets multiply to -1 exactly where they
+    differ, so a sum of 2^L sign products is 2^L - 2 * (a ^ b).bit_count().
     """
     check_cap(length)
     bits = 0
@@ -132,32 +133,18 @@ def sign_bits(flip_mask: int, length: int) -> int:
 def sign_column(index_mask: int, length: int) -> np.ndarray:
     """Vector of phi_S(x) over all x in word order, for the subset mask S: a read-only int8 view.
 
-    phi_S(0) = (-1)^|S|, and setting bit p of x flips the sign exactly
-    when p is in S.
+    phi_S(x) is entry ~x of sign_bytes(S, L), so the column is those bytes
+    read backwards, with no copy.
     """
-    return np.frombuffer(sign_bytes(index_mask, length, (-1) ** index_mask.bit_count()), np.int8)
+    return np.frombuffer(sign_bytes(index_mask, length), np.int8)[::-1]
 
 
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
     """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
 
-    float64, the dtype of the coefficients it is multiplied with. phi_0 = 1,
-    and adding coordinate p to S flips the sign exactly when x_p = 0.
+    The float64 signs of sign_bytes(~x, L), in the coefficients' dtype.
     """
-    flips = ~pattern_word & ((1 << length) - 1)
-    return np.frombuffer(sign_bytes(flips, length), np.int8).astype(np.float64)
-
-
-def _sum_of_products(row: np.ndarray, other: np.ndarray) -> float:
-    """sum(row * other), multiplying into row, which the caller gives up.
-
-    Not np.dot: it passes float64 vectors of 2^14 entries or more to BLAS,
-    which splits them over its threads, and on a 2-vCPU host waking the
-    second thread stalled about one expansion query in four by ~8 ms. Nor
-    np.einsum, whose call costs ~2 us before it adds anything.
-    """
-    row *= other
-    return float(np.add.reduce(row))
+    return np.frombuffer(sign_bytes(~pattern_word, length), np.int8).astype(np.float64)
 
 
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
@@ -319,7 +306,12 @@ def estimate_coefficients(dataset: Dataset) -> Spectrum:
 def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
     """Reconstruct p(query) as the full coefficient-weighted basis sum."""
     _same_length("spectrum", spectrum.length, query)
-    return _sum_of_products(sign_row(query.word, spectrum.length), spectrum.coefficients)
+    row = sign_row(query.word, spectrum.length)
+    # Not np.dot: BLAS splits 2^14 or more float64 entries over its threads, and
+    # on a 2-vCPU host waking the second stalled one query in four by ~8 ms.
+    # Nor np.einsum, whose call costs ~2 us before it adds anything.
+    row *= spectrum.coefficients
+    return float(np.add.reduce(row))
 
 
 Direction = Literal["forward", "inverse"]

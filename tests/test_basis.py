@@ -224,6 +224,10 @@ def minus_bits(signs: bytes) -> int:
 @pytest.mark.parametrize("length", range(1, 9))
 def test_sign_bits_are_the_minus_bytes_of_sign_bytes(length):
     for mask in range(1 << length):
+        # The one convention: phi_S(x) is byte ~x of sign_bytes(S, L).
+        column = sign_column(mask, length)
+        assert column[::-1].tobytes() == sign_bytes(mask, length)
+        assert not column.flags.writeable
         for flip_mask in (mask, ~mask):
             assert sign_bits(flip_mask, length) == minus_bits(sign_bytes(flip_mask, length))
 

@@ -370,12 +370,18 @@ class TestBench:
         assert out == ""
         assert err == f"error: DiracPmfError: {flag} must be >= 0, got -1\n"
 
-    def test_expansion_skipped_above_cap(self, capsys):
+    @pytest.mark.parametrize("length", [20, 21])
+    def test_expansion_skipped_above_cap(self, capsys, length):
+        # L=20 is the cap itself, so expansion is still timed there.
         code, out, _ = run(
-            capsys, "bench", "--length", "22", "--samples", "5", "--queries", "3",
+            capsys, "bench", "--length", str(length), "--samples", "5", "--queries", "3",
         )
         assert code == 0
         report = json.loads(out)["reports"][0]
-        assert "expansion" not in report["methods"]
-        assert any("expansion skipped" in note for note in report["notes"])
+        if length == 20:
+            assert "per_query_s" in report["methods"]["expansion"]
+            assert report["notes"] == []
+        else:
+            assert "expansion" not in report["methods"]
+            assert report["notes"] == ["expansion skipped: L=21 exceeds cap 20"]
         assert report["agreement"] is True
