@@ -18,13 +18,14 @@ from typing import Any, Iterable, NoReturn, Sequence
 from .bitspace import (
     BitPattern,
     Dataset,
+    _check_length,
     check_cap,
     dataset_from_words,
     load_dataset,
     parse_pattern,
 )
 from .errors import DiracPmfError
-from .estimators import EQUIVALENCE_TOL, PmfEstimate
+from .estimators import PmfEstimate
 
 #: Expansion benchmarking above this L is pointless and slow.
 BENCH_EXPANSION_CAP = 20
@@ -98,10 +99,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .verify import estimate_coefficients
     dataset = _load(args.input)
-    spectrum = estimate_coefficients(dataset)
+    coefficients = estimate_coefficients(dataset).coefficients
     entries = (
         {"mask": mask, "order": mask.bit_count(), "alpha": alpha}
-        for mask, alpha in enumerate(map(float, spectrum.coefficients))
+        for mask, alpha in enumerate(map(float, coefficients))
     )
     _emit_entries({"L": dataset.length, "N": dataset.size}, "spectrum", entries, args.pretty)
     return 0
@@ -124,7 +125,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     # Full pairwise orthogonality: the forward transform of sign column k is
     # sum_x phi_i(x) * phi_k(x) for every i, exact in float64 (|sum| <= 2^12), and
     # must be 2^L at i = k, else 0. It trusts the butterfly to match sign_bytes.
-    check_cap(2 * length)
+    check_cap(2 * _check_length(length))
     size = 1 << length
     report: dict[str, Any] = {
         "L": length, "check": "orthogonality", "pairs": size * size, "pass": True
@@ -165,7 +166,7 @@ def cmd_lemma(args: argparse.Namespace) -> int:
         )
         return 0 if total == expected else 2
 
-    check_cap(2 * length)
+    check_cap(2 * _check_length(length))
     all_pass = all(
         lemma1_sum(SignAssignment(tuple(-1 if minus_mask >> p & 1 else 1 for p in range(length))))
         == (0 if minus_mask else 1 << length)
@@ -247,9 +248,9 @@ def _bench_one_length(
         if queries:
             timing[method]["per_query_s"] = statistics.median(query_times[method])
 
-    # Written as <=, so a NaN answer disagrees; with no queries, all() is True.
+    # Pair by pair, as list == calls a NaN equal to itself; with no queries, all() is True.
     agreement = all(
-        abs(got - want) <= EQUIVALENCE_TOL
+        got == want
         for method in methods[1:]
         for got, want in zip(values[method], values[methods[0]])
     )
@@ -293,7 +294,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         args.pretty,
     )
     if not all_agree:
-        print("error: estimation paths disagree beyond tolerance", file=sys.stderr)
+        print("error: estimation paths disagree", file=sys.stderr)
         return 2
     return 0
 

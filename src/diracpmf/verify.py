@@ -20,10 +20,11 @@ module only when one of these is asked for:
   otherwise. It is what collapses the expansion to counting, so it gets a
   brute-force evaluator plus the closed-form binomial route it reduces to;
 * the basis-product and indicator kernels;
-* expansion -- project the sample onto the basis and reconstruct p(x) as
-  the coefficient-weighted basis sum;
-* fwht -- round-trip the count vector through the fast sign-product
-  transform and divide by N once, which gives count/N exactly.
+* expansion -- p(x) as the spectrum's numerator-weighted basis sum, / 2^L, then / N;
+* fwht -- round-trip the count vector through the fast transform and divide by N.
+Both keep integers until that one division by N, so each returns count/N
+bit for bit: every partial sum is an integer of size at most
+2^L * N < 2^53, exact in float64, and the division by 2^L rounds nothing.
 """
 from __future__ import annotations
 
@@ -142,7 +143,7 @@ def sign_column(index_mask: int, length: int) -> np.ndarray:
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
     """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
 
-    The float64 signs of sign_bytes(~x, L), in the coefficients' dtype.
+    The float64 signs of sign_bytes(~x, L), in the numerators' dtype.
     """
     return np.frombuffer(sign_bytes(~pattern_word, length), np.int8).astype(np.float64)
 
@@ -247,37 +248,43 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """The 2^L basis coefficients estimated from a sample of size N.
+    """The 2^L integer numerators sum_x count(x) * phi_S(x) of a sample of size N.
 
-    Two spectra are equal when their lengths, sample sizes and every
-    coefficient are.
+    Two spectra are equal when their lengths, sample sizes and every numerator are.
     """
 
     length: int
     sample_size: int
-    coefficients: np.ndarray
+    numerators: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.coefficients.shape != (1 << self.length,):
-            raise ValueError("coefficient vector must have 2^L entries")
-        self.coefficients.setflags(write=False)
+        if self.numerators.shape != (1 << self.length,):
+            raise ValueError("numerator vector must have 2^L entries")
+        self.numerators.setflags(write=False)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The basis coefficients numerators / (N * 2^L): a new read-only array each call."""
+        coefficients = self.numerators / (self.sample_size << self.length)
+        coefficients.setflags(write=False)
+        return coefficients
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
             (self.length, self.sample_size) == (other.length, other.sample_size)
-            and np.array_equal(self.coefficients, other.coefficients)
+            and np.array_equal(self.numerators, other.numerators)
         )
 
     def __hash__(self) -> int:
         # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal to it.
-        return hash((self.length, self.sample_size, (self.coefficients + 0.0).tobytes()))
+        return hash((self.length, self.sample_size, (self.numerators + 0.0).tobytes()))
 
     def __reduce__(self) -> tuple:
         # Rebuilt through the constructor, so a pickled or deep-copied
-        # spectrum's coefficients are read-only again.
-        return Spectrum, (self.length, self.sample_size, self.coefficients)
+        # spectrum's numerators are read-only again.
+        return Spectrum, (self.length, self.sample_size, self.numerators)
 
 
 def _count_vector(dataset: Dataset) -> np.ndarray:
@@ -290,28 +297,22 @@ def _count_vector(dataset: Dataset) -> np.ndarray:
 
 
 def estimate_coefficients(dataset: Dataset) -> Spectrum:
-    """Average phi_i over the sample, scaled by 1/2^L, for every basis index.
+    """The forward transform of the count vector, undivided (exact: see the module docstring).
 
-    The numerators sum_x count(x) * phi_S(x) are the forward transform of
-    the count vector. Every partial sum is an integer of size at most N, so
-    it is exact in float64 and the one division rounds each coefficient
-    once. The fit costs O(L * 2^L) whatever the sample, and holds two
-    float64 vectors; no BLAS call.
+    The fit costs O(L * 2^L) whatever the sample and holds two float64 vectors; no BLAS call.
     """
-    total = _butterfly(_count_vector(dataset), "forward")
-    total /= dataset.size * (1 << dataset.length)
-    return Spectrum(dataset.length, dataset.size, total)
+    return Spectrum(dataset.length, dataset.size, _butterfly(_count_vector(dataset), "forward"))
 
 
 def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
-    """Reconstruct p(query) as the full coefficient-weighted basis sum."""
+    """p(query): the full numerator-weighted basis sum / 2^L / N (see the module docstring)."""
     _same_length("spectrum", spectrum.length, query)
     row = sign_row(query.word, spectrum.length)
     # Not np.dot: BLAS splits 2^14 or more float64 entries over its threads, and
     # on a 2-vCPU host waking the second stalled one query in four by ~8 ms.
     # Nor np.einsum, whose call costs ~2 us before it adds anything.
-    row *= spectrum.coefficients
-    return float(np.add.reduce(row))
+    row *= spectrum.numerators
+    return float(np.add.reduce(row)) / (1 << spectrum.length) / spectrum.sample_size
 
 
 Direction = Literal["forward", "inverse"]
@@ -376,11 +377,9 @@ def frequency_vector(dataset: Dataset) -> np.ndarray:
 
 
 def fwht_table(dataset: Dataset) -> np.ndarray:
-    """The fwht estimate of every pattern, indexed by word: count/N, exactly.
+    """The fwht estimate of every pattern, indexed by word: count/N (see the module docstring).
 
-    The round trip runs on the counts: every partial sum is an integer of
-    size at most 2^L * N < 2^53, so it returns the counts exactly. The
-    table is read-only, so no caller can change a later answer.
+    The table is read-only, so no caller can change a later answer.
     """
     table = _butterfly(_butterfly(_count_vector(dataset), "forward"), "inverse")
     table /= dataset.size

@@ -357,7 +357,7 @@ class TestBench:
         )
         assert code == 2
         assert json.loads(out)["reports"][0]["agreement"] is False
-        assert err == "error: estimation paths disagree beyond tolerance\n"
+        assert err == "error: estimation paths disagree\n"
 
     @pytest.mark.parametrize("flag", ["--samples", "--queries"])
     def test_negative_counts_exit_one(self, capsys, monkeypatch, flag):

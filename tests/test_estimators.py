@@ -276,9 +276,26 @@ class TestSpectrum:
             assert other == spectrum and hash(other) == hash(spectrum)
             assert not other.coefficients.flags.writeable
         assert spectrum != estimate_coefficients(load_dataset(["01", "11"]))
-        assert spectrum != Spectrum(2, 4, spectrum.coefficients.copy())
+        assert spectrum != Spectrum(2, 4, spectrum.numerators.copy())
         assert spectrum != "spectrum"
         assert len({spectrum, *copies(spectrum)}) == 1
+
+    def test_coefficients_are_numerators_over_n_times_2_to_the_l(self):
+        rng = random.Random(21)
+        for length in (1, 3, 8, 12):
+            dataset = random_dataset(rng, length, rng.randint(1, 5000))
+            spectrum = estimate_coefficients(dataset)
+            numerators = spectrum.numerators
+            assert np.array_equal(numerators, np.round(numerators))
+            assert np.all(np.abs(numerators) <= dataset.size)
+            coefficients = spectrum.coefficients
+            assert np.array_equal(coefficients, numerators / (dataset.size << length))
+            # Computed on every access, not cached, and read-only each time.
+            assert coefficients is not spectrum.coefficients
+            with pytest.raises(ValueError, match="read-only"):
+                coefficients[0] = 0.0
+            with pytest.raises(AttributeError):
+                spectrum.coefficients = coefficients
 
     def test_signed_zeros_hash_equal(self):
         zeros = Spectrum(1, 1, np.array([0.0, 0.0]))
@@ -290,22 +307,22 @@ class TestEstimates:
     def test_single_sample_self_query(self):
         dataset = load_dataset(["101"])
         spectrum = estimate_coefficients(dataset)
-        assert estimate_expansion(spectrum, parse_pattern("101")) == pytest.approx(1.0, abs=TOL)
+        assert estimate_expansion(spectrum, parse_pattern("101")) == 1.0
 
     def test_counting_oracle_two_thirds(self):
         dataset = load_dataset(["01", "01", "11"])
         query = parse_pattern("01")
         assert counting_oracle(dataset, query) == pytest.approx(2 / 3)
         spectrum = estimate_coefficients(dataset)
-        assert estimate_expansion(spectrum, query) == pytest.approx(2 / 3, abs=TOL)
+        assert estimate_expansion(spectrum, query) == 2 / 3
         assert estimate_dirac(dataset, query) == pytest.approx(2 / 3)
-        assert estimate_fwht(dataset, query) == pytest.approx(2 / 3, abs=TOL)
+        assert estimate_fwht(dataset, query) == 2 / 3
 
     def test_unseen_pattern_is_zero(self):
         dataset = load_dataset(["01", "01", "11"])
         query = parse_pattern("00")
         spectrum = estimate_coefficients(dataset)
-        assert estimate_expansion(spectrum, query) == pytest.approx(0.0, abs=TOL)
+        assert estimate_expansion(spectrum, query) == 0.0
         assert estimate_dirac(dataset, query) == 0.0
 
     def test_dirac_exact_match(self):
@@ -327,8 +344,8 @@ class TestEstimates:
                 spectrum = estimate_coefficients(dataset)
                 for query in all_patterns(length):
                     dirac = estimate_dirac(dataset, query)
-                    assert abs(estimate_expansion(spectrum, query) - dirac) <= TOL
-                    assert abs(estimate_fwht(dataset, query) - dirac) <= TOL
+                    assert estimate_expansion(spectrum, query) == dirac
+                    assert estimate_fwht(dataset, query) == dirac
                     assert dirac == counting_oracle(dataset, query)
 
     def test_equivalence_random_large(self):
@@ -339,9 +356,7 @@ class TestEstimates:
             spectrum = estimate_coefficients(dataset)
             for _ in range(5):
                 query = BitPattern.from_word(rng.getrandbits(length), length)
-                assert abs(
-                    estimate_expansion(spectrum, query) - estimate_dirac(dataset, query)
-                ) <= TOL
+                assert estimate_expansion(spectrum, query) == estimate_dirac(dataset, query)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda length: st.tuples(
@@ -353,9 +368,10 @@ class TestEstimates:
         table = verify.fwht_table(dataset)
         assert not table.flags.writeable
         fwht = PmfEstimate.fit(dataset, "fwht")
+        expansion = PmfEstimate.fit(dataset, "expansion")
         for query in all_patterns(length):
             dirac = estimate_dirac(dataset, query)
-            assert table[query.word] == fwht(query) == dirac
+            assert table[query.word] == fwht(query) == expansion(query) == dirac
         for word in {words[0], words[-1], (1 << length) - 1}:
             query = BitPattern.from_word(word, length)
             assert estimate_fwht(dataset, query) == estimate_dirac(dataset, query)
@@ -368,10 +384,16 @@ class TestEstimates:
         assert np.array_equal(verify.fwht_table(dataset), dirac)
         fwht = PmfEstimate.fit(dataset, "fwht")
         assert np.array_equal(fwht.table, dirac)
+        expansion = PmfEstimate.fit(dataset, "expansion")
         unseen = next(word for word in range(1 << 18) if word not in dataset.counts)
         for word in (next(iter(dataset.counts)), unseen):
             query = BitPattern.from_word(word, 18)
             assert estimate_fwht(dataset, query) == fwht(query) == estimate_dirac(dataset, query)
+            assert expansion(query) == estimate_dirac(dataset, query)
+        # Every partial sum of a row here is an integer up to 2^18 * 10^5, about 2^34.6.
+        rng = random.Random(1018)
+        for word in (rng.getrandbits(18) for _ in range(100)):
+            assert expansion(BitPattern.from_word(word, 18)) == dirac[word]
 
     def test_normalization_and_nonnegativity(self):
         rng = random.Random(23)
@@ -398,14 +420,14 @@ class TestEstimates:
         total = sum(multiplicities)
         for word, m in enumerate(multiplicities):
             query = BitPattern.from_word(word, length)
-            assert estimate_expansion(spectrum, query) == pytest.approx(m / total, abs=TOL)
+            assert estimate_expansion(spectrum, query) == m / total
 
     def test_pmf_estimate_wrapper(self):
         dataset = load_dataset(["01", "01", "11"])
         query = parse_pattern("01")
         for method in ("expansion", "dirac", "fwht"):
             estimate = PmfEstimate.fit(dataset, method)
-            assert estimate(query) == pytest.approx(2 / 3, abs=TOL)
+            assert estimate(query) == 2 / 3
         with pytest.raises(LengthMismatch):
             PmfEstimate.fit(dataset, "dirac")(parse_pattern("0"))
 
@@ -558,16 +580,19 @@ class TestPmfEstimateBehaviour:
     @pytest.mark.parametrize("method", METHODS)
     def test_arrays_are_read_only(self, method, copies):
         def arrays(estimate):
-            pair = (estimate.table, getattr(estimate.spectrum, "coefficients", None))
-            return [array for array in pair if array is not None]
+            spectrum = estimate.spectrum
+            found = (estimate.table, getattr(spectrum, "numerators", None),
+                     getattr(spectrum, "coefficients", None))
+            return [array for array in found if array is not None]
 
         estimate = PmfEstimate.fit(load_dataset(["01", "01", "11"]), method)
         fresh = arrays(PmfEstimate.fit(load_dataset(["01", "11", "01"]), method))
         queries = list(all_patterns(2))
         want = [estimate(query) for query in queries]
+        count = {"dirac": 0, "fwht": 1, "expansion": 2}[method]
         for other in [estimate, *copies(estimate)]:
             # A copy refits: its arrays equal a fresh fit's, and are read-only again.
-            assert len(arrays(other)) == len(fresh) == (method != "dirac")
+            assert len(arrays(other)) == len(fresh) == count
             for array, fitted in zip(arrays(other), fresh):
                 assert np.array_equal(array, fitted)
                 with pytest.raises(ValueError, match="read-only"):

@@ -112,9 +112,13 @@ def test_sign_vector_at_l40_is_refused_before_allocating(name):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize(
+#: The 4^L CLI checks, which pass 2L to check_cap.
+PAIRWISE_CHECKS = pytest.mark.parametrize(
     "argv", [["basis", "--check", "orthogonality"], ["lemma"]], ids=["orthogonality", "lemma"]
 )
+
+
+@PAIRWISE_CHECKS
 def test_pairwise_cli_checks_accept_l12_and_refuse_l13(capsys, stop_after_check, argv):
     with pytest.raises(Accepted):
         main([*argv, "--length", "12"])
@@ -123,6 +127,17 @@ def test_pairwise_cli_checks_accept_l12_and_refuse_l13(capsys, stop_after_check,
     assert code == 1
     assert captured.out == ""
     assert "error: CapExceeded: 2^26 terms requested, at most 2^24 allowed" in captured.err
+
+
+@PAIRWISE_CHECKS
+@pytest.mark.parametrize("length", [-1, 0])
+def test_pairwise_cli_checks_name_the_given_length(capsys, argv, length):
+    # The length is checked before it is doubled, so the message names what was typed.
+    code = main([*argv, "--length", str(length)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: LengthOutOfRange: pattern length {length} outside 1..64\n"
 
 
 def test_fwht_estimate_on_l40_file_exits_one_without_traceback(capsys, tmp_path):
