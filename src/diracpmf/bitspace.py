@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import islice, repeat
-from operator import index
+from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -37,6 +37,8 @@ _DROP_DIGITS = str.maketrans("", "", "01")
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: Lines load_dataset reads and counts at a time.
 _BLOCK_LINES = 1024
+#: A string reversed, x_1 last, as int(..., 2) reads the word.
+_REVERSED = itemgetter(slice(None, None, -1))
 
 
 def _check_length(length: int) -> int:
@@ -227,12 +229,21 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     """Read one pattern per nonblank line; '#' lines are comments.
 
     Accepts any iterable of strings, e.g. an open text file or
-    ``text.splitlines()``. A Counter counts the raw lines in C, a block at a
-    time, and each distinct line is checked and parsed once, so memory and
-    parse work are O(distinct lines). Raises with the first offending line's
-    number on bad input (a byte that is not UTF-8, in a file opened with
-    errors="surrogateescape", included) and RaggedLengths on mixed lengths.
+    ``text.splitlines()``, but not one str or bytes. A Counter counts the
+    raw lines in C, a block at a time, and each distinct line is checked
+    and parsed once, so memory and parse work are O(distinct lines). A
+    block whose new lines are all canonical (after strip, '0'/'1' digits
+    alone, of the dataset's one length) is checked and packed in bulk; any
+    other block takes the per-line loop. Raises with the first offending
+    line's number on bad input (a byte that is not UTF-8, in a file opened
+    with errors="surrogateescape", included) and RaggedLengths on mixed
+    lengths.
     """
+    if isinstance(lines, (str, bytes)):
+        raise TypeError(
+            f"load_dataset takes an iterable of lines, not one {type(lines).__name__};"
+            " pass text.splitlines() or an open file"
+        )
     line_counts: Counter[str] = Counter()
     words: list[int | None] = []  # the word of each key, in order; None for a blank or '#' line
     length: int | None = None
@@ -242,35 +253,47 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
         seen = len(line_counts)
         line_counts.update(block)
         # The new keys, in order of first appearance: the first bad key is the first bad line.
-        for raw in reversed(list(islice(reversed(line_counts), len(line_counts) - seen))):
-            try:
-                # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF.
-                if not raw.isascii():
-                    for char in raw:
-                        if "\udc80" <= char <= "\udcff":
-                            raise DiracPmfError(f"byte {ord(char) - 0xDC00:#04x} is not UTF-8")
-                line = raw.strip()
-                if not line or line[0] == "#":
-                    words.append(None)
-                    continue
-                digits, word = _pack(line)
-                if len(digits) != length:
-                    if length is not None:
-                        raise RaggedLengths(
-                            f"pattern {line!r} has length {len(digits)}, expected {length}"
-                        )
-                    length = len(digits)
-            except DiracPmfError as exc:
-                raise type(exc)(f"line {first + block.index(raw)}: {exc}") from exc
-            words.append(word)
+        keys = list(islice(reversed(line_counts), len(line_counts) - seen))
+        keys.reverse()
+        stripped = list(map(str.strip, keys))
+        sizes = set(map(len, stripped))
+        size = sizes.pop() if len(sizes) == 1 else 0  # 0: no one length
+        if (0 < size <= MAX_LENGTH and length in (None, size)
+                and not "".join(stripped).translate(_DROP_DIGITS)):
+            length = size
+            words += map(int, map(_REVERSED, stripped), repeat(2))
+        else:
+            for raw in keys:
+                try:
+                    # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF.
+                    if not raw.isascii():
+                        for char in raw:
+                            if "\udc80" <= char <= "\udcff":
+                                raise DiracPmfError(f"byte {ord(char) - 0xDC00:#04x} is not UTF-8")
+                    line = raw.strip()
+                    if not line or line[0] == "#":
+                        words.append(None)
+                        continue
+                    digits, word = _pack(line)
+                    if len(digits) != length:
+                        if length is not None:
+                            raise RaggedLengths(
+                                f"pattern {line!r} has length {len(digits)}, expected {length}"
+                            )
+                        length = len(digits)
+                except DiracPmfError as exc:
+                    raise type(exc)(f"line {first + block.index(raw)}: {exc}") from exc
+                words.append(word)
         first += len(block)
     if length is None:
         raise EmptyDataset("no pattern lines in input")
-    # "01", "0,1" and " 01\n" are three keys of one word.
-    counts: dict[int, int] = {}
-    for word, count in zip(words, line_counts.values()):
-        if word is not None:
-            counts[word] = counts.get(word, 0) + count
+    counts = dict(zip(words, line_counts.values()))
+    if len(counts) < len(words) or None in counts:
+        # "01", "0,1" and " 01\n" are three keys of one word.
+        counts = {}
+        for word, count in zip(words, line_counts.values()):
+            if word is not None:
+                counts[word] = counts.get(word, 0) + count
     dataset = object.__new__(Dataset)
     _fill(dataset, counts, length)
     return dataset

@@ -610,16 +610,68 @@ def test_each_distinct_line_is_packed_once(monkeypatch):
     assert dataset.size == 3000
 
 
+def _count_packs(monkeypatch):
+    """Record every text load_dataset hands to _pack."""
+    packed = []
+    pack = bitspace._pack
+    monkeypatch.setattr(bitspace, "_pack", lambda text: packed.append(text) or pack(text))
+    return packed
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", " \n"])
+def test_canonical_blocks_pack_in_bulk(monkeypatch, ending):
+    packed = _count_packs(monkeypatch)
+    words = [(number * 2654435761) % (1 << 12) for number in range(3 * bitspace._BLOCK_LINES + 5)]
+    lines = [format(word, "012b")[::-1] + ending for word in words]
+    dataset = load_dataset(lines)
+    assert packed == []
+    assert (dataset.counts, dataset.length, dataset.size) == (Counter(words), 12, len(words))
+
+
+def test_a_block_with_one_odd_line_falls_back_alone(monkeypatch):
+    packed = _count_packs(monkeypatch)
+    block = bitspace._BLOCK_LINES
+    lines = [format(number, "012b") for number in range(3 * block)]
+    lines[block + 7] = " " + ",".join(lines[block + 7])
+    dataset = load_dataset(lines)
+    # Only the second block's lines reach _pack, each stripped once.
+    assert packed == [line.strip() for line in lines[block:2 * block]]
+    assert dataset.counts == {int(line.replace(",", "")[::-1], 2): 1 for line in lines}
+    assert (dataset.length, dataset.size) == (12, 3 * block)
+
+
+def test_a_block_of_65_digit_lines_is_refused():
+    # One length, digits alone, and still not a pattern: the bulk check holds L <= 64.
+    with pytest.raises(LengthOutOfRange, match="^line 1: pattern length 65 exceeds 64$"):
+        load_dataset(["1" * 65, "0" * 65 + "\n"])
+
+
+@pytest.mark.parametrize("text", ["0101\n0011\n", b"0101\n0011\n"], ids=["str", "bytes"])
+def test_one_string_is_refused_not_read_as_characters(text):
+    with pytest.raises(TypeError, match=r"not one (str|bytes); pass text\.splitlines\(\)"):
+        load_dataset(text)
+    assert load_dataset(io.StringIO("0101\n0011\n")).length == 4
+
+
 @pytest.mark.parametrize(
     "bad, error, message",
     [
         ("0x", IllegalCharacter, "illegal character 'x' in pattern '0x'"),
         ("011", RaggedLengths, "pattern '011' has length 3, expected 2"),
+        ("0\udce91", DiracPmfError, "byte 0xe9 is not UTF-8"),
+        ("1" * 65, LengthOutOfRange, "pattern length 65 exceeds 64"),
     ],
 )
 def test_bad_line_past_the_second_block_keeps_its_number(bad, error, message):
+    # Two blocks of canonical lines, in three spellings, go in bulk; the bad
+    # line is the first, a middle or the last line of the third block.
     block = bitspace._BLOCK_LINES
-    bad_lines = {2 * block + 17, 2 * block + 40}
-    lines = (bad if number in bad_lines else "01" for number in range(1, 3 * block + 1))
-    with pytest.raises(error, match=f"^line {2 * block + 17}: {message}$"):
-        load_dataset(lines)
+    spellings = ["01\n", "10\r\n", "11 \n", "00"]
+    for bad_number in (2 * block + 1, 2 * block + 17, 3 * block):
+        bad_lines = {bad_number, bad_number + 23}
+        lines = (
+            bad if number in bad_lines else spellings[number % 4]
+            for number in range(1, 3 * block + 30)
+        )
+        with pytest.raises(error, match=f"^line {bad_number}: {message}$"):
+            load_dataset(lines)

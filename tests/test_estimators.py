@@ -174,12 +174,14 @@ class TestCoefficients:
         masks = range(1 << length)
         if length > 13:
             masks = [0, (1 << length) - 1] + rng.sample(masks, 2000)
+        coefficients = spectrum.coefficients
         for mask in masks:
             index = BasisIndex(mask, length)
             total = sum(
                 count * eval_basis(index, pattern) for pattern, count in zip(patterns, counts)
             )
-            assert spectrum.coefficients[mask] == total / (dataset.size * (1 << length))
+            assert spectrum.numerators[mask] == total
+            assert coefficients[mask] == total / (dataset.size * (1 << length))
 
     def test_bound_and_integrality(self):
         rng = random.Random(13)
