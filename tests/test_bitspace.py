@@ -598,24 +598,22 @@ def test_ingest_matches_the_per_line_loop(lines, kind):
     assert ingest_outcome(load_dataset, source()) == expected
 
 
-def test_each_distinct_line_is_packed_once(monkeypatch):
-    packed = []
-    pack = bitspace._pack
-    monkeypatch.setattr(bitspace, "_pack", lambda text: packed.append(text) or pack(text))
-    patterns = ["0110", " 1,0,0,1", "1111"]
-    lines = (patterns[number % 3] for number in range(3000))
-    dataset = load_dataset(lines)
-    assert packed == ["0110", "1,0,0,1", "1111"]
-    assert dataset.counts == {0b0110: 1000, 0b1001: 1000, 0b1111: 1000}
-    assert dataset.size == 3000
-
-
 def _count_packs(monkeypatch):
     """Record every text load_dataset hands to _pack."""
     packed = []
     pack = bitspace._pack
     monkeypatch.setattr(bitspace, "_pack", lambda text: packed.append(text) or pack(text))
     return packed
+
+
+def test_each_distinct_line_is_packed_once(monkeypatch):
+    packed = _count_packs(monkeypatch)
+    patterns = ["0110", " 1,0,0,1", "1111"]
+    lines = (patterns[number % 3] for number in range(3000))
+    dataset = load_dataset(lines)
+    assert packed == ["0110", "1,0,0,1", "1111"]
+    assert dataset.counts == {0b0110: 1000, 0b1001: 1000, 0b1111: 1000}
+    assert dataset.size == 3000
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", " \n"])
