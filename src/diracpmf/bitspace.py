@@ -11,7 +11,7 @@ BitPattern objects are built when a caller asks for one.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -288,15 +288,41 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     if length is None:
         raise EmptyDataset("no pattern lines in input")
     counts = dict(zip(words, line_counts.values()))
-    if len(counts) < len(words) or None in counts:
-        # "01", "0,1" and " 01\n" are three keys of one word.
-        counts = {}
-        for word, count in zip(words, line_counts.values()):
-            if word is not None:
-                counts[word] = counts.get(word, 0) + count
+    if len(counts) < len(words):
+        # "01", "0,1" and " 01\n" are three keys of one word, of which counts
+        # kept the last key's count: sum every key of each repeated word.
+        repeated = _repeated(words, list(counts))
+        for word in repeated:
+            counts[word] = 0
+        for word, count in compress(zip(words, line_counts.values()),
+                                    map(repeated.__contains__, words)):
+            counts[word] += count
+    counts.pop(None, None)
     dataset = object.__new__(Dataset)
     _fill(dataset, counts, length)
     return dataset
+
+
+def _repeated(words: list[int | None], firsts: list[int | None]) -> set[int | None]:
+    """The words that occur more than once in words, given firsts: words without its repeats.
+
+    Up to a repeat, words and firsts run equal, and a repeat never equals
+    the next word of firsts. So a block of words with no repeat costs one
+    list comparison, and only a block that holds one is walked.
+    """
+    repeated = set()
+    taken = 0  # words[:start] without its repeats is firsts[:taken]
+    for start in range(0, len(words), _BLOCK_LINES):
+        block = words[start:start + _BLOCK_LINES]
+        if block == firsts[taken:taken + len(block)]:
+            taken += len(block)
+            continue
+        for word in block:
+            if taken < len(firsts) and word == firsts[taken]:
+                taken += 1
+            else:
+                repeated.add(word)
+    return repeated
 
 
 def all_patterns(length: int) -> Iterator[BitPattern]:

@@ -12,6 +12,8 @@ module only when one of these is asked for:
   a whole sign vector is built by L doublings, with no 2^L index range and
   no cache: of int8 bytes for the numpy vectors (sign_row, sign_column),
   of an integer bitset, set where the sign is -1, for the exact oracles.
+  A bitset's low 9 coordinates come from _LOW_SIGNS, a 512-entry table
+  built at import by the same doublings; the rest are doubled per call.
   One convention: index i of the vector of mask m holds (-1)^popcount(i & m),
   so phi_S(x) is entry ~x of the vector of S and entry S of that of ~x. The
   orthogonality, kernel and lemma sums are popcounts of XORed bitsets;
@@ -36,28 +38,49 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .bitspace import MAX_LENGTH, BitPattern, Dataset, _check_length, check_cap
+from .bitspace import MAX_LENGTH, BitPattern, Dataset, _check_length, _Frozen, check_cap
 from .errors import LengthMismatch, NotPowerOfTwo, RangeError
 
 #: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
 _NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
 
 
-@dataclass(frozen=True, init=False)
-class BasisIndex:
-    """Subset mask identifying one basis polynomial of a given length."""
+class BasisIndex(_Frozen):
+    """Subset mask identifying one basis polynomial of a given length.
 
+    Immutable: two indices are equal, and hash equal, when their masks and lengths are.
+    """
+
+    __slots__ = ("mask", "length")
     mask: int
     length: int
 
     def __init__(self, mask: int, length: int) -> None:
         # operator.index refuses a float, and stores True or a numpy int as int.
-        # Each field is set once here; a __post_init__ would set it twice.
         mask, length = operator.index(mask), _check_length(length)
         if not 0 <= mask < (1 << length):
             raise ValueError(f"mask {mask} outside 0..2^{length}-1")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "length", length)
+        _set_mask(self, mask)
+        _set_length(self, length)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.length == other.length
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.length))
+
+    def __reduce__(self) -> tuple:
+        return BasisIndex, (self.mask, self.length)
+
+    def __repr__(self) -> str:
+        return f"BasisIndex(mask={self.mask!r}, length={self.length!r})"
+
+
+# The slot descriptors set the fields past _Frozen.__setattr__.
+_set_mask = BasisIndex.mask.__set__
+_set_length = BasisIndex.length.__set__
 
 
 Ordering = Literal["canonical", "by_cardinality"]
@@ -119,16 +142,40 @@ def sign_bytes(flip_mask: int, length: int) -> bytes:
 def sign_bits(flip_mask: int, length: int) -> int:
     """sign_bytes(flip_mask, length) as a bitset: bit y is set where sign y is -1.
 
-    The same L doublings run on a Python int, complementing the copy where
-    flip_mask's bit is set. Two bitsets multiply to -1 exactly where they
-    differ, so a sum of 2^L sign products is 2^L - 2 * (a ^ b).bit_count().
+    The same L doublings on a Python int, complementing the copy where
+    flip_mask's bit is set. The first 9 come from _LOW_SIGNS, the 512
+    bitsets of the low 9 coordinates built at import by these doublings;
+    only coordinates 9..L-1 are doubled per call. Two bitsets multiply to
+    -1 exactly where they differ, so a sum of 2^L sign products is
+    2^L - 2 * (a ^ b).bit_count().
     """
     check_cap(length)
-    bits = 0
-    for bit in range(length):
+    return _sign_pair(flip_mask, 0, operator.index(length))[0]
+
+
+def _sign_pair(mask_a: int, mask_b: int, length: int, start: int = 9) -> tuple[int, int]:
+    """sign_bits of two flip masks at one (checked) length, doubled in one loop.
+
+    The columns begin as the masks' _LOW_SIGNS entries, trimmed to 2^L bits
+    below L=9; start=0 begins at the one point instead, which builds the table.
+    """
+    if start:
+        a, b = _LOW_SIGNS[mask_a & 511], _LOW_SIGNS[mask_b & 511]
+        if length < 9:
+            ones = (1 << (1 << length)) - 1
+            return a & ones, b & ones
+    else:
+        a = b = 0
+    for bit in range(start, length):
         width = 1 << bit
-        bits |= (bits ^ ((1 << width) - 1) if flip_mask >> bit & 1 else bits) << width
-    return bits
+        ones = (1 << width) - 1
+        a |= (a ^ ones if mask_a >> bit & 1 else a) << width
+        b |= (b ^ ones if mask_b >> bit & 1 else b) << width
+    return a, b
+
+
+#: sign_bits(m, 9) for every mask m of the low 9 coordinates: about 52 KB.
+_LOW_SIGNS = tuple(_sign_pair(mask, 0, 9, start=0)[0] for mask in range(512))
 
 
 def sign_column(index_mask: int, length: int) -> np.ndarray:
@@ -155,10 +202,12 @@ def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     points indexed by ~x, and every one of the 2^L products is counted: -1
     where the columns differ.
     """
-    if i.length != k.length:
-        raise LengthMismatch(f"basis lengths differ: {i.length} != {k.length}")
-    column_i, column_k = sign_bits(i.mask, i.length), sign_bits(k.mask, i.length)
-    return (1 << i.length) - 2 * (column_i ^ column_k).bit_count()
+    length = i.length
+    if length != k.length:
+        raise LengthMismatch(f"basis lengths differ: {length} != {k.length}")
+    check_cap(length)
+    column_i, column_k = _sign_pair(i.mask, k.mask, length)
+    return (1 << length) - 2 * (column_i ^ column_k).bit_count()
 
 
 @dataclass(frozen=True)
@@ -170,9 +219,14 @@ class SignAssignment:
     def __post_init__(self) -> None:
         if not self.values:
             raise RangeError("sign assignment needs at least one variable")
-        for value in self.values:
-            if value not in (-1, 1):
-                raise RangeError(f"sign value {value} is not -1 or +1")
+        try:
+            valid = {*self.values} <= {-1, 1}
+        except TypeError:  # an unhashable value, named by the loop below
+            valid = False
+        if not valid:
+            for value in self.values:
+                if value not in (-1, 1):
+                    raise RangeError(f"sign value {value} is not -1 or +1")
 
     @property
     def length(self) -> int:
@@ -242,8 +296,9 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
     """
     _same_length("prototype", prototype.length, query)
     length = prototype.length
-    differ = sign_bits(~prototype.word, length) ^ sign_bits(~query.word, length)
-    return ((1 << length) - 2 * differ.bit_count()) / (1 << length)
+    check_cap(length)
+    column_p, column_q = _sign_pair(~prototype.word, ~query.word, length)
+    return ((1 << length) - 2 * (column_p ^ column_q).bit_count()) / (1 << length)
 
 
 @dataclass(frozen=True, eq=False)

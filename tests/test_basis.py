@@ -1,5 +1,8 @@
+import itertools
 import math
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,10 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diracpmf import BitPattern, CapExceeded, LengthMismatch, LengthOutOfRange, all_patterns
+from diracpmf import verify
 from diracpmf.verify import (
     BasisIndex,
+    SignAssignment,
     eval_basis,
     iter_basis,
+    kernel_sum,
+    lemma1_sum,
     orthogonality_sum,
     sign_bits,
     sign_bytes,
@@ -250,3 +257,105 @@ def test_sign_bits_match_eval_basis_everywhere(length):
             want = eval_basis(index, pattern) == -1
             assert (column >> (~word & ((1 << length) - 1)) & 1 == 1) == want
             assert (sign_bits(~word, length) >> mask & 1 == 1) == want
+
+
+def test_basis_index_is_an_immutable_value(copies):
+    index = BasisIndex(5, 4)
+    assert repr(index) == "BasisIndex(mask=5, length=4)"
+    assert repr(BasisIndex(1, 2)) == "BasisIndex(mask=1, length=2)"
+    for copied in [*copies(index), BasisIndex(5, 4)]:
+        assert type(copied) is BasisIndex
+        assert (copied.mask, copied.length) == (5, 4)
+        assert copied == index and hash(copied) == hash(index)
+    for other in (BasisIndex(4, 4), BasisIndex(5, 3), BasisIndex(5, 5)):
+        assert other != index and hash(other) != hash(index)
+    assert index != (5, 4)
+    for name in ("mask", "length", "other"):
+        with pytest.raises(AttributeError):
+            setattr(index, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(index, name)
+    assert (index.mask, index.length) == (5, 4)
+
+
+# sign_bits reads the low 9 coordinates from a table built at import and
+# doubles the rest; these hold it to the plain L doublings from one point.
+
+
+def doubled_sign_bits(flip_mask: int, length: int) -> int:
+    """The sign bitset of flip_mask by L doublings from the one point, with no table."""
+    bits = 0
+    for bit in range(length):
+        width = 1 << bit
+        bits |= (bits ^ ((1 << width) - 1) if flip_mask >> bit & 1 else bits) << width
+    return bits
+
+
+def literal_sign(mask: int, word: int, length: int) -> int:
+    """phi_mask(word) as the literal product of (2x_l - 1) over the coordinates in mask."""
+    result = 1
+    for position in range(length):
+        if mask >> position & 1:
+            result *= 2 * (word >> position & 1) - 1
+    return result
+
+
+def test_low_sign_table_is_the_doublings_and_at_most_64_kb():
+    table = verify._LOW_SIGNS
+    assert len(table) == 512
+    assert sys.getsizeof(table) + sum(map(sys.getsizeof, table)) <= 64 * 1024
+    assert list(table) == [doubled_sign_bits(mask, 9) for mask in range(512)]
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_sign_bits_match_the_doublings_for_every_mask(length):
+    for mask in range(1 << length):
+        assert sign_bits(mask, length) == doubled_sign_bits(mask, length)
+        assert sign_bits(~mask, length) == doubled_sign_bits(~mask, length)
+    # A numpy length is read as an int, as in the doublings.
+    assert sign_bits(np.int64(-2), np.int64(length)) == doubled_sign_bits(-2, length)
+
+
+@pytest.mark.parametrize("length", [*range(11, 17), 20])
+def test_sign_bits_match_the_doublings_at_drawn_and_negative_masks(length):
+    rng = random.Random(length)
+    for _ in range(12):
+        word = rng.getrandbits(length)
+        for mask in (word, ~word, word | 1 << length, -1 - (1 << length)):
+            assert sign_bits(mask, length) == doubled_sign_bits(mask, length)
+
+
+@pytest.mark.parametrize("length", [8, 9, 10])
+def test_oracles_match_literal_point_products_about_the_table_edge(length):
+    rng = random.Random(length)
+    size = 1 << length
+    for _ in range(3):
+        i, k = rng.getrandbits(length), rng.getrandbits(length)
+        for pair in ((i, k), (i, i)):
+            want = sum(literal_sign(pair[0], x, length) * literal_sign(pair[1], x, length)
+                       for x in range(size))
+            assert orthogonality_sum(*(BasisIndex(mask, length) for mask in pair)) == want
+        a, b = (BitPattern.from_word(word, length) for word in (i, k))
+        for prototype, query in ((a, b), (a, a)):
+            want = sum(literal_sign(mask, prototype.word, length)
+                       * literal_sign(mask, query.word, length) for mask in range(size))
+            assert kernel_sum(prototype, query) == want / size
+        values = tuple(rng.choice((-1, 1)) for _ in range(length))
+        for signs in (values, (1,) * length):
+            want = sum(math.prod(itertools.compress(signs, subset))
+                       for subset in itertools.product((0, 1), repeat=length))
+            assert lemma1_sum(SignAssignment(signs)) == want
+
+
+def test_sign_bits_over_the_cap_is_refused_before_the_builder(monkeypatch):
+    def builder_reached(*args):
+        raise AssertionError("the builder ran before the cap check")
+    monkeypatch.setattr(verify, "_sign_pair", builder_reached)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match=r"2\^25 terms requested"):
+            sign_bits(0, 25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -673,3 +673,18 @@ def test_bad_line_past_the_second_block_keeps_its_number(bad, error, message):
         )
         with pytest.raises(error, match=f"^line {bad_number}: {message}$"):
             load_dataset(lines)
+
+
+@pytest.mark.parametrize("before", [6, 2 * bitspace._BLOCK_LINES + 6], ids=["first", "third"])
+def test_a_last_line_without_its_newline_adds_to_its_word(before):
+    # The bare last line and its earlier "...\n" spelling are two keys of one
+    # word, in the first block or in the third.
+    words = [(number * 2654435761) % (1 << 12) for number in range(before)]
+    lines = [format(word, "012b")[::-1] + "\n" for word in words]
+    for repeated in (lines[0], lines[-1], lines[-3]):
+        with_newline = load_dataset([*lines, repeated])
+        without = load_dataset([*lines, repeated.rstrip("\n")])
+        assert (without.counts, without.size, without.length) == (
+            with_newline.counts, with_newline.size, with_newline.length)
+        assert without.counts == Counter([*words, int(repeated[::-1], 2)])
+        assert without.size == before + 1
