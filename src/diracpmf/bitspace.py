@@ -11,7 +11,7 @@ BitPattern objects are built when a caller asks for one.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, islice, repeat
+from itertools import islice, repeat
 from operator import index, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -291,28 +291,25 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     if len(counts) < len(words):
         # "01", "0,1" and " 01\n" are three keys of one word, of which counts
         # kept the last key's count: sum every key of each repeated word.
-        repeated = _repeated(words, list(counts))
-        for word in repeated:
-            counts[word] = 0
-        for word, count in compress(zip(words, line_counts.values()),
-                                    map(repeated.__contains__, words)):
-            counts[word] += count
+        _sum_repeats(counts, words, list(line_counts.values()))
     counts.pop(None, None)
     dataset = object.__new__(Dataset)
     _fill(dataset, counts, length)
     return dataset
 
 
-def _repeated(words: list[int | None], firsts: list[int | None]) -> set[int | None]:
-    """The words that occur more than once in words, given firsts: words without its repeats.
+def _sum_repeats(counts: dict, words: list[int | None], values: list[int]) -> None:
+    """Set counts[word] to the sum of its values, for each word that words repeats.
 
-    Up to a repeat, words and firsts run equal, and a repeat never equals
-    the next word of firsts. So a block of words with no repeat costs one
-    list comparison, and only a block that holds one is walked.
+    counts holds every word once, keyed in order of first place. Up to a
+    repeat, words and those keys run equal, and a repeat never equals the
+    next key. So a block of words costs one list comparison to find its
+    repeats and one set test to find the places of repeated words, and
+    only a block that holds one is walked.
     """
-    repeated = set()
-    taken = 0  # words[:start] without its repeats is firsts[:taken]
-    for start in range(0, len(words), _BLOCK_LINES):
+    firsts, taken, repeated = list(counts), 0, set()
+    blocks = range(0, len(words), _BLOCK_LINES)
+    for start in blocks:
         block = words[start:start + _BLOCK_LINES]
         if block == firsts[taken:taken + len(block)]:
             taken += len(block)
@@ -322,7 +319,14 @@ def _repeated(words: list[int | None], firsts: list[int | None]) -> set[int | No
                 taken += 1
             else:
                 repeated.add(word)
-    return repeated
+    for word in repeated:
+        counts[word] = 0
+    for start in blocks:
+        block = words[start:start + _BLOCK_LINES]
+        if not repeated.isdisjoint(block):
+            for word, count in zip(block, values[start:start + _BLOCK_LINES]):
+                if word in repeated:
+                    counts[word] += count
 
 
 def all_patterns(length: int) -> Iterator[BitPattern]:
