@@ -33,8 +33,6 @@ EXHAUSTIVE_CAP = 24
 
 #: Deletes the digits, so a pattern of digits alone translates to "".
 _DROP_DIGITS = str.maketrans("", "", "01")
-#: Maps the ASCII digits b"0"/b"1" to the byte values 0/1.
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 #: Lines load_dataset reads and counts at a time.
 _BLOCK_LINES = 1024
 #: A string reversed, x_1 last, as int(..., 2) reads the word.
@@ -113,7 +111,7 @@ class BitPattern(_Frozen):
     @property
     def bits(self) -> tuple[int, ...]:
         """(x_1, ..., x_L) as 0/1 ints."""
-        return tuple(render_pattern(self).encode().translate(_DIGIT_VALUES))
+        return tuple(map(int, render_pattern(self)))
 
     @classmethod
     def from_word(cls, word: int, length: int) -> BitPattern:
@@ -290,43 +288,14 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     counts = dict(zip(words, line_counts.values()))
     if len(counts) < len(words):
         # "01", "0,1" and " 01\n" are three keys of one word, of which counts
-        # kept the last key's count: sum every key of each repeated word.
-        _sum_repeats(counts, words, list(line_counts.values()))
+        # kept the last key's count: sum every key of each word, in first-seen order.
+        counts = dict.fromkeys(counts, 0)
+        for word, count in zip(words, line_counts.values()):
+            counts[word] += count
     counts.pop(None, None)
     dataset = object.__new__(Dataset)
     _fill(dataset, counts, length)
     return dataset
-
-
-def _sum_repeats(counts: dict, words: list[int | None], values: list[int]) -> None:
-    """Set counts[word] to the sum of its values, for each word that words repeats.
-
-    counts holds every word once, keyed in order of first place. Up to a
-    repeat, words and those keys run equal, and a repeat never equals the
-    next key. So a block of words costs one list comparison to find its
-    repeats and one set test to find the places of repeated words, and
-    only a block that holds one is walked.
-    """
-    firsts, taken, repeated = list(counts), 0, set()
-    blocks = range(0, len(words), _BLOCK_LINES)
-    for start in blocks:
-        block = words[start:start + _BLOCK_LINES]
-        if block == firsts[taken:taken + len(block)]:
-            taken += len(block)
-            continue
-        for word in block:
-            if taken < len(firsts) and word == firsts[taken]:
-                taken += 1
-            else:
-                repeated.add(word)
-    for word in repeated:
-        counts[word] = 0
-    for start in blocks:
-        block = words[start:start + _BLOCK_LINES]
-        if not repeated.isdisjoint(block):
-            for word, count in zip(block, values[start:start + _BLOCK_LINES]):
-                if word in repeated:
-                    counts[word] += count
 
 
 def all_patterns(length: int) -> Iterator[BitPattern]:

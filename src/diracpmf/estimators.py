@@ -5,7 +5,7 @@
 * expansion, fwht -- the verification paths in diracpmf.verify, which
   PmfEstimate imports only when one of them is asked for.
 
-All three return count/N bit for bit on any dataset; the test suite enforces it.
+All three return count/N bit for bit on every dataset they fit; tests enforce it.
 """
 from __future__ import annotations
 

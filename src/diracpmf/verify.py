@@ -27,6 +27,7 @@ module only when one of these is asked for:
 Both keep integers until that one division by N, so each returns count/N
 bit for bit: every partial sum is an integer of size at most
 2^L * N < 2^53, exact in float64, and the division by 2^L rounds nothing.
+Both refuse, with RangeError, a dataset whose N * 2^L reaches 2^53.
 """
 from __future__ import annotations
 
@@ -219,14 +220,9 @@ class SignAssignment:
     def __post_init__(self) -> None:
         if not self.values:
             raise RangeError("sign assignment needs at least one variable")
-        try:
-            valid = {*self.values} <= {-1, 1}
-        except TypeError:  # an unhashable value, named by the loop below
-            valid = False
-        if not valid:
-            for value in self.values:
-                if value not in (-1, 1):
-                    raise RangeError(f"sign value {value} is not -1 or +1")
+        for value in self.values:
+            if value not in (-1, 1):
+                raise RangeError(f"sign value {value} is not -1 or +1")
 
     @property
     def length(self) -> int:
@@ -343,8 +339,10 @@ class Spectrum:
 
 
 def _count_vector(dataset: Dataset) -> np.ndarray:
-    """The dataset's counts over all 2^L patterns, indexed by word, as float64."""
+    """The counts over all 2^L patterns, indexed by word, as float64; N * 2^L must be < 2^53."""
     check_cap(dataset.length)
+    if dataset.size << dataset.length >= 1 << 53:
+        raise RangeError(f"N={dataset.size} at L={dataset.length}: N*2^L must stay below 2^53")
     vector = np.zeros(1 << dataset.length)
     for word, count in dataset.counts.items():
         vector[word] = count

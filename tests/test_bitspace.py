@@ -688,3 +688,10 @@ def test_a_last_line_without_its_newline_adds_to_its_word(before):
             with_newline.counts, with_newline.size, with_newline.length)
         assert without.counts == Counter([*words, int(repeated[::-1], 2)])
         assert without.size == before + 1
+    # A comment, a blank line and the comma spelling of an earlier line are
+    # more keys of known words: the sums keep the first-seen order of words.
+    comma = ",".join(lines[1].strip()) + "\n"
+    mixed = load_dataset([*lines, "# comment\n", "\n", comma])
+    canonical = load_dataset([*lines, lines[1]])
+    assert (mixed.counts, mixed.size, mixed.length, list(mixed.counts)) == (
+        canonical.counts, canonical.size, canonical.length, list(canonical.counts))

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -133,6 +134,12 @@ def test_sign_assignment_validation():
         SignAssignment(())
     with pytest.raises(RangeError):
         SignAssignment((1, 0))
+    # An unhashable value and NaN are named, like any other bad value.
+    with pytest.raises(RangeError, match=r"^sign value \[1\] is not -1 or \+1$"):
+        SignAssignment((1, [1]))
+    with pytest.raises(RangeError, match=r"^sign value nan is not -1 or \+1$"):
+        SignAssignment((1, float("nan")))
+    assert SignAssignment((np.int64(-1), True)).minus_count == 1
     assert SignAssignment.from_string("+-+").values == (1, -1, 1)
     assert SignAssignment.from_string("-").minus_count == 1
     with pytest.raises(RangeError):

@@ -18,6 +18,7 @@ from diracpmf import (
     LengthMismatch,
     NotPowerOfTwo,
     PmfEstimate,
+    RangeError,
     Spectrum,
     all_patterns,
     dataset_from_words,
@@ -396,6 +397,32 @@ class TestEstimates:
         rng = random.Random(1018)
         for word in (rng.getrandbits(18) for _ in range(100)):
             assert expansion(BitPattern.from_word(word, 18)) == dirac[word]
+
+    @pytest.mark.parametrize(
+        "path", [estimate_coefficients, verify.fwht_table, verify.frequency_vector])
+    def test_reference_paths_refuse_n_times_2_to_the_l_at_2_53(self, path):
+        # Past 2^53 the expansion and fwht sums round, away from dirac's count/N.
+        dataset = Dataset({0: 16854035630840075, 1: 323235362292765}, 1)
+        with pytest.raises(RangeError, match=r"^N=17177270993132840 at L=1: .*2\^53$"):
+            path(dataset)
+
+    def test_reference_paths_are_exact_up_to_2_53(self):
+        # About 800 words whose counts sum to N = 2^41 - 1, so N * 2^12 = 2^53 - 2^12.
+        rng = random.Random(41)
+        size = (1 << 41) - 1
+        cuts = sorted(rng.sample(range(1, size), 799))
+        words = rng.sample(range(1 << 12), 800)
+        counts = dict(zip(words, np.diff([0, *cuts, size]).tolist()))
+        dataset = Dataset(counts, 12)
+        assert dataset.size == size
+        expansion = PmfEstimate.fit(dataset, "expansion")
+        fwht = PmfEstimate.fit(dataset, "fwht")
+        for query in all_patterns(12):
+            assert expansion(query) == fwht(query) == estimate_dirac(dataset, query)
+        counts[words[0]] += 1
+        for method in ("expansion", "fwht"):
+            with pytest.raises(RangeError, match=r"^N=2199023255552 at L=12: "):
+                PmfEstimate.fit(Dataset(counts, 12), method)
 
     def test_normalization_and_nonnegativity(self):
         rng = random.Random(23)

@@ -8,8 +8,8 @@ files take no part. The output holds, per workload
 and end-to-end metric, both sides' medians and quartiles, the pairs the
 change won (ties count for neither), and every run's value; and the
 seeds, both revisions, the Python and numpy versions and nproc as the runs
-recorded them. The file is rewritten after every pair, so a cut session
-leaves the pairs it finished.
+recorded them; and each revision's src/ line count. The file is rewritten
+after every pair, so a cut session leaves the pairs it finished.
 
     python3 tools/bench_record.py --parent aab7ead --change HEAD \\
         --workload serve-L64 --workload verify-L14 --pairs 10 \\
@@ -45,6 +45,11 @@ def export(revision: str, directory: Path) -> None:
             tar.extractall(directory, filter="data")
         else:
             tar.extractall(directory)
+
+
+def src_lines(tree: Path) -> int:
+    """The `wc -l` total of an export's src/diracpmf/*.py: the size the design aim tracks."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src/diracpmf").glob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -115,6 +120,7 @@ def main() -> int:
     output: dict = {
         "schema": SCHEMA,
         "revisions": revisions,
+        "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
         "command": "perfbench/run.py --trace 0",
         "seconds": seconds,
         "order": "pair i runs seed first_seed + i; parent first when i is even",
