@@ -10,9 +10,10 @@ BitPattern objects are built when a caller asks for one.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import islice, repeat
-from operator import index, itemgetter
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,8 +36,6 @@ EXHAUSTIVE_CAP = 24
 _DROP_DIGITS = str.maketrans("", "", "01")
 #: Lines load_dataset reads and counts at a time.
 _BLOCK_LINES = 1024
-#: A string reversed, x_1 last, as int(..., 2) reads the word.
-_REVERSED = itemgetter(slice(None, None, -1))
 
 
 def _check_length(length: int) -> int:
@@ -73,6 +72,20 @@ def _pack(text: str) -> tuple[str, int]:
     if len(digits) > MAX_LENGTH:
         raise LengthOutOfRange(f"pattern length {len(digits)} exceeds {MAX_LENGTH}")
     return digits, int(digits[::-1], 2)
+
+
+def _pack_block(keys: list[str], length: int) -> list[int] | None:
+    """The words of '0'/'1' keys of one length, or None if a key has another character."""
+    shift = max((length - 1).bit_length() - 3, 0)  # items of 8, 16, 32 or 64 bits
+    pad = "0" * ((8 << shift) - length)
+    joined = pad.join(keys) + pad
+    if not joined.isascii() or joined.encode().translate(None, b"01"):
+        return None
+    # One base-2 parse: reversed, the padded keys are a number whose item i is key i's word.
+    # In the host's byte order, item 0 comes first if it is little-endian, last if big-endian.
+    data = int(joined[::-1], 2).to_bytes(len(joined) // 8, sys.byteorder)
+    words = memoryview(data).cast("BHIQ"[shift]).tolist()
+    return words if sys.byteorder == "little" else words[::-1]
 
 
 class _Frozen:
@@ -231,11 +244,11 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
     raw lines in C, a block at a time, and each distinct line is checked
     and parsed once, so memory and parse work are O(distinct lines). A
     block whose new lines are all canonical (after strip, '0'/'1' digits
-    alone, of the dataset's one length) is checked and packed in bulk; any
-    other block takes the per-line loop. Raises with the first offending
-    line's number on bad input (a byte that is not UTF-8, in a file opened
-    with errors="surrogateescape", included) and RaggedLengths on mixed
-    lengths.
+    alone, of the dataset's one length) is checked in bulk and packed with
+    one base-2 parse per canonical block; any other block takes the
+    per-line loop. Raises with the first offending line's number on bad
+    input (a byte that is not UTF-8, in a file opened with
+    errors="surrogateescape", included) and RaggedLengths on mixed lengths.
     """
     if isinstance(lines, (str, bytes)):
         raise TypeError(
@@ -257,9 +270,9 @@ def load_dataset(lines: Iterable[str]) -> Dataset:
         sizes = set(map(len, stripped))
         size = sizes.pop() if len(sizes) == 1 else 0  # 0: no one length
         if (0 < size <= MAX_LENGTH and length in (None, size)
-                and not "".join(stripped).translate(_DROP_DIGITS)):
+                and (packed := _pack_block(stripped, size)) is not None):
             length = size
-            words += map(int, map(_REVERSED, stripped), repeat(2))
+            words += packed
         else:
             for raw in keys:
                 try:

@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from types import MappingProxyType
@@ -571,7 +572,7 @@ def lines_across_blocks(draw):
     """Up to three blocks of pattern lines in a few raw spellings, with bad,
     ragged, blank and comment lines drawn around the block edges."""
     block = bitspace._BLOCK_LINES
-    length = draw(st.integers(1, 8))
+    length = draw(st.integers(1, 64))
     pool = draw(st.lists(st.text("01", min_size=length, max_size=length), min_size=1, max_size=4))
     spellings = [text + end for text in pool for end in ("", "\n", " \r\n")]
     spellings.append(" " + ",".join(pool[0]) + "\n")
@@ -616,14 +617,71 @@ def test_each_distinct_line_is_packed_once(monkeypatch):
     assert dataset.size == 3000
 
 
+def _count_block_packs(monkeypatch):
+    """Record how many keys each call to _pack_block is handed."""
+    sizes = []
+    pack_block = bitspace._pack_block
+
+    def spy(keys, length):
+        sizes.append(len(keys))
+        return pack_block(keys, length)
+
+    monkeypatch.setattr(bitspace, "_pack_block", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("ending", ["\n", "\r\n", " \n"])
 def test_canonical_blocks_pack_in_bulk(monkeypatch, ending):
     packed = _count_packs(monkeypatch)
-    words = [(number * 2654435761) % (1 << 12) for number in range(3 * bitspace._BLOCK_LINES + 5)]
+    block_sizes = _count_block_packs(monkeypatch)
+    block = bitspace._BLOCK_LINES
+    words = [(number * 2654435761) % (1 << 12) for number in range(3 * block + 5)]
     lines = [format(word, "012b")[::-1] + ending for word in words]
     dataset = load_dataset(lines)
+    # One base-2 parse per block of distinct lines, and none per line.
+    assert block_sizes == [block, block, block, 5]
     assert packed == []
     assert (dataset.counts, dataset.length, dataset.size) == (Counter(words), 12, len(words))
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])
+def test_bulk_pack_matches_the_per_line_loop_at_each_item_width(monkeypatch, length):
+    # Keys pack into items of 8, 16, 32 or 64 bits: these lengths sit at each
+    # width's edges. Every block holds the all-zeros and the all-ones word,
+    # in a spelling of its own, so each block packs them again.
+    block = bitspace._BLOCK_LINES
+    rng = random.Random(length)
+    lines = []
+    for ending in ("\n", "\r\n", " \n"):
+        words = [0, (1 << length) - 1, *(rng.getrandbits(length) for _ in range(block - 2))]
+        rng.shuffle(words)
+        lines += [format(word, f"0{length}b")[::-1] + ending for word in words]
+    packed = _count_packs(monkeypatch)
+    dataset = load_dataset(lines)
+    assert packed == []
+    counts, _ = per_line_load(lines)
+    assert (dataset.counts, list(dataset.counts), dataset.length, dataset.size) == (
+        counts, list(counts), length, 3 * block)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-string limit")
+def test_a_block_parse_is_exempt_from_the_int_string_limit(monkeypatch):
+    # 1024 distinct 64-digit lines are one 65,536-digit base-2 parse. The
+    # limit binds only bases that are not powers of two, so 640, its least
+    # value, must not refuse the block.
+    packed = _count_packs(monkeypatch)
+    words = [(number * 0x9E3779B97F4A7C15) % (1 << 64) for number in range(bitspace._BLOCK_LINES)]
+    lines = [format(word, "064b")[::-1] + "\n" for word in words]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        dataset = load_dataset(lines)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert packed == []
+    assert dataset.counts == dict.fromkeys(words, 1)
+    assert (dataset.length, dataset.size) == (64, len(words))
 
 
 def test_a_block_with_one_odd_line_falls_back_alone(monkeypatch):
@@ -658,6 +716,9 @@ def test_one_string_is_refused_not_read_as_characters(text):
         ("011", RaggedLengths, "pattern '011' has length 3, expected 2"),
         ("0\udce91", DiracPmfError, "byte 0xe9 is not UTF-8"),
         ("1" * 65, LengthOutOfRange, "pattern length 65 exceeds 64"),
+        # Non-ASCII digits of the right length: int() would read them, the bulk check must not.
+        ("0\u0661", IllegalCharacter, "illegal character '\u0661' in pattern '0\u0661'"),
+        ("0\uff10", IllegalCharacter, "illegal character '\uff10' in pattern '0\uff10'"),
     ],
 )
 def test_bad_line_past_the_second_block_keeps_its_number(bad, error, message):
