@@ -32,8 +32,6 @@ MAX_LENGTH = 64
 #: No call enumerates more than 2^EXHAUSTIVE_CAP terms; each checks before it allocates.
 EXHAUSTIVE_CAP = 24
 
-#: Deletes the digits, so a pattern of digits alone translates to "".
-_DROP_DIGITS = str.maketrans("", "", "01")
 #: Lines load_dataset reads and counts at a time.
 _BLOCK_LINES = 1024
 
@@ -63,10 +61,10 @@ def _pack(text: str) -> tuple[str, int]:
     '0b' prefix, '_' separators, a sign and non-ASCII decimal digits.
     """
     digits = text.strip()
-    if not digits or digits.translate(_DROP_DIGITS):
+    if not digits or not digits.isascii() or digits.encode().translate(None, b"01"):
         digits = "".join(digits.replace(",", " ").split())
-        if illegal := digits.translate(_DROP_DIGITS):
-            raise IllegalCharacter(f"illegal character {illegal[0]!r} in pattern {text!r}")
+        if illegal := next((char for char in digits if char not in "01"), None):
+            raise IllegalCharacter(f"illegal character {illegal!r} in pattern {text!r}")
         if not digits:
             raise EmptyInput("pattern text contains no digits")
     if len(digits) > MAX_LENGTH:

@@ -124,7 +124,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
     # Full pairwise orthogonality: the forward transform of sign column k is
     # sum_x phi_i(x) * phi_k(x) for every i, exact in float64 (|sum| <= 2^12), and
-    # must be 2^L at i = k, else 0. It trusts the butterfly to match sign_bytes.
+    # must be 2^L at i = k, else 0. It trusts the butterfly to match sign_bits.
     check_cap(2 * _check_length(length))
     size = 1 << length
     report: dict[str, Any] = {

@@ -9,14 +9,13 @@ module only when one of these is asked for:
   phi_0 = 1. The subset is encoded as an L-bit mask (bit l-1 set iff
   coordinate l participates), and the mask doubles as the basis index.
   phi_S is a tensor (Kronecker) product of one 2-vector per coordinate, so
-  a whole sign vector is built by L doublings, with no 2^L index range and
-  no cache: of int8 bytes for the numpy vectors (sign_row, sign_column),
-  of an integer bitset, set where the sign is -1, for the exact oracles.
-  A bitset's low 9 coordinates come from _LOW_SIGNS, a 512-entry table
-  built at import by the same doublings; the rest are doubled per call.
-  One convention: index i of the vector of mask m holds (-1)^popcount(i & m),
-  so phi_S(x) is entry ~x of the vector of S and entry S of that of ~x. The
-  orthogonality, kernel and lemma sums are popcounts of XORed bitsets;
+  a whole sign vector is built by L doublings of an integer bitset, with no
+  2^L index range and no cache (sign_bits states the convention). The
+  bitset's low 9 coordinates come from _LOW_SIGNS, a 512-entry table built
+  at import by the same doublings; the rest are doubled per call. The
+  orthogonality, kernel and lemma sums are popcounts of XORed bitsets, and
+  the numpy vectors (sign_row, sign_column) expand a bitset a byte at a
+  time through _BYTE_SIGNS;
 * the sign-variable lemma: for L variables a_1..a_L in {-1, +1}, the sum
   of all 2^L subset products equals 2^L when every variable is +1 and 0
   otherwise. It is what collapses the expansion to counting, so it gets a
@@ -41,10 +40,6 @@ import numpy as np
 
 from .bitspace import MAX_LENGTH, BitPattern, Dataset, _check_length, _Frozen, check_cap
 from .errors import LengthMismatch, NotPowerOfTwo, RangeError
-
-#: Swaps the int8 bytes +1 and -1, which negates a sign pattern.
-_NEGATE = bytes.maketrans(b"\x01\xff", b"\xff\x01")
-
 
 class BasisIndex(_Frozen):
     """Subset mask identifying one basis polynomial of a given length.
@@ -123,31 +118,16 @@ def eval_basis(index: BasisIndex, pattern: BitPattern) -> int:
     return -1 if zeros_in_subset.bit_count() & 1 else 1
 
 
-def sign_bytes(flip_mask: int, length: int) -> bytes:
-    """The signs (-1)^popcount(i & flip_mask) for i in 0..2^L-1, as int8 bytes.
-
-    This is the Kronecker product of the pairs (1, -1) for the bits set in
-    flip_mask and (1, 1) for the others, built by L doublings: each appends
-    a copy of the pattern so far, negated byte-wise where the bit is set.
-    Each doubling is one C-level bytes copy, so a short vector pays no numpy
-    call per coordinate. Only the low L bits of flip_mask count, so ~x flips
-    exactly where x is 0.
-    """
-    check_cap(length)
-    pattern = b"\x01"
-    for bit in range(length):
-        pattern += pattern.translate(_NEGATE) if flip_mask >> bit & 1 else pattern
-    return pattern
-
-
 def sign_bits(flip_mask: int, length: int) -> int:
-    """sign_bytes(flip_mask, length) as a bitset: bit y is set where sign y is -1.
+    """The signs (-1)^popcount(y & flip_mask), y < 2^L, as a bitset: bit y set where sign y is -1.
 
-    The same L doublings on a Python int, complementing the copy where
-    flip_mask's bit is set. The first 9 come from _LOW_SIGNS, the 512
-    bitsets of the low 9 coordinates built at import by these doublings;
-    only coordinates 9..L-1 are doubled per call. Two bitsets multiply to
-    -1 exactly where they differ, so a sum of 2^L sign products is
+    The one sign convention: phi_S(x) is entry ~x of the vector of S and
+    entry S of the vector of ~x. The vector is the Kronecker product of the
+    pairs (1, -1) at the set bits among flip_mask's low L and (1, 1) at the
+    others, so ~x flips exactly where x is 0. It is built by L doublings,
+    each complementing the copy where the bit is set; the first 9 come from
+    _LOW_SIGNS, built at import by the same doublings. Two bitsets multiply
+    to -1 exactly where they differ, so a sum of 2^L sign products is
     2^L - 2 * (a ^ b).bit_count().
     """
     check_cap(length)
@@ -178,22 +158,41 @@ def _sign_pair(mask_a: int, mask_b: int, length: int, start: int = 9) -> tuple[i
 #: sign_bits(m, 9) for every mask m of the low 9 coordinates: about 52 KB.
 _LOW_SIGNS = tuple(_sign_pair(mask, 0, 9, start=0)[0] for mask in range(512))
 
+#: Word b holds, as eight int8 bytes in memory order, the signs of the 8
+#: points whose minus bits are byte b: 256 words, 2 KB, read-only.
+_BYTE_SIGNS = np.where(np.arange(256)[:, None] >> np.arange(8) & 1, -1, 1).astype(np.int8)
+_BYTE_SIGNS = _BYTE_SIGNS.view(np.uint64)[:, 0]
+_BYTE_SIGNS.setflags(write=False)
+# dtype objects, not scalar types, which numpy converts on each call (~60 ns).
+_UINT8, _INT8 = np.dtype(np.uint8), np.dtype(np.int8)
+
+
+def _int8_signs(bits: int, length: int) -> np.ndarray:
+    """The 2^L int8 signs of a sign_bits bitset: one table word per byte of the bitset."""
+    if length < 3:
+        # Under 8 points the bitset is one byte: a read-only view of its word's first 2^L signs.
+        return _BYTE_SIGNS[bits:bits + 1].view(_INT8)[:1 << length]
+    minus_bytes = np.frombuffer(bits.to_bytes(1 << length - 3, "little"), _UINT8)
+    return _BYTE_SIGNS.take(minus_bytes).view(_INT8)
+
 
 def sign_column(index_mask: int, length: int) -> np.ndarray:
-    """Vector of phi_S(x) over all x in word order, for the subset mask S: a read-only int8 view.
+    """Vector of phi_S(x) over all x in word order, for the subset mask S: read-only int8.
 
-    phi_S(x) is entry ~x of sign_bytes(S, L), so the column is those bytes
-    read backwards, with no copy.
+    phi_S(x) is entry ~x of the signs of sign_bits(S, L), so the column is
+    those signs read backwards.
     """
-    return np.frombuffer(sign_bytes(index_mask, length), np.int8)[::-1]
+    column = _int8_signs(sign_bits(index_mask, length), length)[::-1]
+    column.setflags(write=False)
+    return column
 
 
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
     """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
 
-    The float64 signs of sign_bytes(~x, L), in the numerators' dtype.
+    The signs of sign_bits(~x, L) as a new float64 array, in the numerators' dtype.
     """
-    return np.frombuffer(sign_bytes(~pattern_word, length), np.int8).astype(np.float64)
+    return _int8_signs(sign_bits(~pattern_word, length), length).astype(np.float64)
 
 
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:

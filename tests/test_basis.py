@@ -21,7 +21,6 @@ from diracpmf.verify import (
     lemma1_sum,
     orthogonality_sum,
     sign_bits,
-    sign_bytes,
     sign_column,
     sign_row,
 )
@@ -231,12 +230,8 @@ def minus_bits(signs: bytes) -> int:
 @pytest.mark.parametrize("length", range(1, 9))
 def test_sign_bits_are_the_minus_bytes_of_sign_bytes(length):
     for mask in range(1 << length):
-        # The one convention: phi_S(x) is byte ~x of sign_bytes(S, L).
-        column = sign_column(mask, length)
-        assert column[::-1].tobytes() == sign_bytes(mask, length)
-        assert not column.flags.writeable
         for flip_mask in (mask, ~mask):
-            assert sign_bits(flip_mask, length) == minus_bits(sign_bytes(flip_mask, length))
+            assert sign_bits(flip_mask, length) == minus_bits(doubled_sign_bytes(flip_mask, length))
 
 
 @pytest.mark.parametrize("length", [12, 16])
@@ -244,7 +239,7 @@ def test_sign_bits_are_the_minus_bytes_of_sign_bytes_at_random_masks(length):
     rng = random.Random(length)
     for _ in range(50):
         mask = rng.getrandbits(length)
-        assert sign_bits(mask, length) == minus_bits(sign_bytes(mask, length))
+        assert sign_bits(mask, length) == minus_bits(doubled_sign_bytes(mask, length))
 
 
 @pytest.mark.parametrize("length", range(1, 7))
@@ -279,7 +274,8 @@ def test_basis_index_is_an_immutable_value(copies):
 
 
 # sign_bits reads the low 9 coordinates from a table built at import and
-# doubles the rest; these hold it to the plain L doublings from one point.
+# doubles the rest, and sign_row and sign_column expand its bitset through a
+# table of bytes; these hold them to the plain L doublings from one point.
 
 
 def doubled_sign_bits(flip_mask: int, length: int) -> int:
@@ -289,6 +285,61 @@ def doubled_sign_bits(flip_mask: int, length: int) -> int:
         width = 1 << bit
         bits |= (bits ^ ((1 << width) - 1) if flip_mask >> bit & 1 else bits) << width
     return bits
+
+
+def doubled_sign_bytes(flip_mask: int, length: int) -> bytes:
+    """The int8 signs of flip_mask by L doublings of bytes, negating a copy where its bit is set."""
+    negate = bytes.maketrans(b"\x01\xff", b"\xff\x01")
+    pattern = b"\x01"
+    for bit in range(length):
+        pattern += pattern.translate(negate) if flip_mask >> bit & 1 else pattern
+    return pattern
+
+
+def assert_vectors_are_the_doubled_bytes(mask: int, length: int) -> None:
+    # The one convention: phi_S(x) is entry ~x of the signs of S and entry S of those of ~x.
+    column = sign_column(mask, length)
+    assert column.dtype == np.int8 and not column.flags.writeable
+    assert column.tobytes() == doubled_sign_bytes(mask, length)[::-1]
+    row = sign_row(mask, length)
+    want = np.frombuffer(doubled_sign_bytes(~mask, length), np.int8).astype(np.float64)
+    assert row.dtype == np.float64 and row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("length", range(1, 11))
+def test_sign_vectors_are_the_doubled_bytes_for_every_mask(length):
+    for mask in range(1 << length):
+        assert_vectors_are_the_doubled_bytes(mask, length)
+
+
+@pytest.mark.parametrize("length", [*range(11, 17), 20])
+def test_sign_vectors_are_the_doubled_bytes_at_drawn_and_negative_masks(length):
+    rng = random.Random(length)
+    for _ in range(3 if length == 20 else 12):
+        word = rng.getrandbits(length)
+        for mask in (word, ~word, word | 1 << length, -1 - (1 << length)):
+            assert_vectors_are_the_doubled_bytes(mask, length)
+
+
+def test_byte_sign_table_holds_minus_one_exactly_at_the_set_bits():
+    table = verify._BYTE_SIGNS
+    assert table.shape == (256,) and table.dtype == np.uint64 and not table.flags.writeable
+    for byte, word in enumerate(table):
+        signs = np.frombuffer(word.tobytes(), np.int8)
+        assert list(signs) == [-1 if byte >> bit & 1 else 1 for bit in range(8)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 8, 12])
+def test_sign_column_is_read_only_and_sign_row_is_new_and_writable(length):
+    column = sign_column(1, length)
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = 1
+    first, second = sign_row(1, length), sign_row(1, length)
+    assert first.flags.writeable and first.flags.owndata and first.dtype == np.float64
+    assert not np.shares_memory(first, second)
+    first *= 3.0  # estimate_expansion multiplies its row in place
+    assert list(sign_row(1, length)) == list(second)
+    assert list(sign_column(1, length)) == list(column)
 
 
 def literal_sign(mask: int, word: int, length: int) -> int:

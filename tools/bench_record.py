@@ -9,7 +9,14 @@ and end-to-end metric, both sides' medians and quartiles, the pairs the
 change won (ties count for neither), and every run's value; and the
 seeds, both revisions, the Python and numpy versions and nproc as the runs
 recorded them; and each revision's src/ line count. The file is rewritten
-after every pair, so a cut session leaves the pairs it finished.
+after every pair, so a cut session leaves the pairs it finished. Each metric
+also gets a verdict, printed as a table to stderr at the end:
+
+* ``gain``: the change wins at least 9 of 10 pairs, and its median beats
+  the parent's by more than the parent's quartile spread;
+* ``worse``: the change's median is worse than the parent's by more than
+  the metric's bound in BENCHMARK.json, a fraction of the parent's median;
+* ``within bound`` otherwise.
 
     python3 tools/bench_record.py --parent aab7ead --change HEAD \\
         --workload serve-L64 --workload verify-L14 --pairs 10 \\
@@ -66,10 +73,26 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"record": record, "result": result}
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
-    """Medians, quartiles and pair wins per metric over one workload's pairs."""
+def verdict(entry: dict, bound: float) -> str:
+    """gain, worse or within bound, for one summarised metric (see the module docstring)."""
+    parent, change = entry["parent"]["median"], entry["change"]["median"]
+    ahead = parent - change if entry["better"] == "lower" else change - parent
+    low, _, high = entry["parent"]["quartiles"]
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and ahead > high - low:
+        return "gain"
+    if -ahead > bound * abs(parent):
+        return "worse"
+    return "within bound"
+
+
+def summarise(runs: list[dict], declared: list[dict]) -> dict:
+    """Medians, quartiles, pair wins and a verdict per metric over one workload's pairs.
+
+    declared is BENCHMARK.json's end_to_end list: each metric's name, better and bound.
+    """
     metrics = {}
-    for name, direction in better.items():
+    for metric in declared:
+        name, direction = metric["name"], metric["better"]
         sides = {
             side: [run[side]["result"]["metrics"][name]["value"] for run in runs]
             for side in ("parent", "change")
@@ -87,8 +110,25 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             }
         entry["change_wins"] = wins
         entry["pairs"] = len(runs)
+        entry["bound"] = metric["bound"]
+        entry["verdict"] = verdict(entry, metric["bound"])
         metrics[name] = entry
     return metrics
+
+
+def verdict_table(workloads: dict) -> str:
+    """One row per workload and metric: both medians, the change in percent, wins and verdict."""
+    rows = [("workload", "metric", "parent", "change", "delta", "wins", "verdict")]
+    for workload, summary in workloads.items():
+        for name, entry in summary["metrics"].items():
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            delta = f"{(change - parent) / parent:+.1%}" if parent else "n/a"
+            rows.append((workload, name, f"{parent:.6g}", f"{change:.6g}", delta,
+                         f"{entry['change_wins']}/{entry['pairs']}", entry["verdict"]))
+    widths = [max(len(row[column]) for row in rows) for column in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() for row in rows
+    )
 
 
 def main() -> int:
@@ -114,7 +154,6 @@ def main() -> int:
             trees[side].mkdir(parents=True)
             export(revision, trees[side])
     declared = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     seconds = declared["run_seconds"]
 
     output: dict = {
@@ -142,9 +181,10 @@ def main() -> int:
             output["workloads"][workload] = {
                 "seeds": seeds[:len(runs)],
                 "all_correct": all(run[side]["result"]["correct"] for run in runs for side in run),
-                "metrics": summarise(runs, better),
+                "metrics": summarise(runs, declared["end_to_end"]),
             }
             args.out.write_text(json.dumps(output, indent=1) + "\n")
+    print(verdict_table(output["workloads"]), file=sys.stderr)
     return 0
 
 
