@@ -12,7 +12,8 @@ if [ $# -ne 1 ]; then
   exit 64
 fi
 cmd=$1
-diracpmf() { $cmd "$@"; }
+# `command` skips this function, so CMD=diracpmf runs the script on PATH.
+diracpmf() { command $cmd "$@"; }
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
