@@ -4,9 +4,9 @@ Three interchangeable estimation paths (basis expansion, Dirac-kernel
 counting, fast transform) plus the sign-product basis, the combinatorial
 lemma tying them together, and a CLI front-end.
 
-Importing the package loads only the counting path: no numpy and no
-dataclasses. The names of the verification oracles, which live in the
-numpy-backed .verify module, load it on first use.
+Importing the package loads only the counting path: no numpy. The names
+of the verification oracles, which live in the numpy-backed .verify
+module, load it on first use.
 """
 from .bitspace import (
     EXHAUSTIVE_CAP,

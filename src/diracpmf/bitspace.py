@@ -87,9 +87,32 @@ def _pack_block(keys: list[str], length: int) -> list[int] | None:
 
 
 class _Frozen:
-    """Refuses attribute assignment once an instance is built, like a frozen dataclass."""
+    """An immutable value. Its fields refuse assignment; the rest comes from the class's _args().
+
+    _args() is the constructor arguments, in the order of the leading __slots__: a copy
+    calls the constructor with them and repr prints them. Values of one class are equal,
+    and hash equal, when their _key()s are: _args() unless the class gives its own.
+    """
 
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        return self._args()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._args()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._args()))
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -132,16 +155,11 @@ class BitPattern(_Frozen):
             raise ValueError(f"word {word} does not fit in {length} bits")
         return _pattern(word, length)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.word, self.length))
+    def _key(self) -> tuple:
+        return self.word, self.length
 
     def __reduce__(self) -> tuple:
-        return _pattern, (self.word, self.length)
+        return _pattern, self._key()
 
     def __repr__(self) -> str:
         return f"BitPattern(bits={self.bits!r}, word={self.word!r})"
@@ -174,7 +192,7 @@ class Dataset(_Frozen):
     keeps its own copy of the mapping.
     """
 
-    __slots__ = ("length", "size", "counts", "_counts")
+    __slots__ = ("counts", "length", "size", "_counts")
     length: int
     size: int
     counts: Mapping[int, int]
@@ -191,19 +209,11 @@ class Dataset(_Frozen):
             raise ValueError(f"count {min(counts.values())} is not positive")
         _fill(self, counts, length)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.length == other.length and self._counts == other._counts
+    def _args(self) -> tuple:
+        return self._counts, self.length
 
-    def __hash__(self) -> int:
-        return hash((self.length, frozenset(self._counts.items())))
-
-    def __reduce__(self) -> tuple:
-        return Dataset, (self._counts, self.length)
-
-    def __repr__(self) -> str:
-        return f"Dataset(counts={self._counts!r}, length={self.length!r})"
+    def _key(self) -> tuple:
+        return self.length, frozenset(self._counts.items())
 
     def __iter__(self) -> Iterator[BitPattern]:
         length = self.length

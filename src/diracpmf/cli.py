@@ -276,6 +276,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for flag, value in (("--samples", args.samples), ("--queries", args.queries)):
         if value < 0:
             raise DiracPmfError(f"{flag} must be >= 0, got {value}")
+    for length in lengths:  # every cell fits fwht, so each length must pass its cap
+        check_cap(_check_length(length))
     reports = []
     all_agree = True
     for length in lengths:

@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 
     from .verify import Spectrum
 
-#: Tolerance for float agreement between estimation paths.
+#: Kept for callers that compare floats; the three paths agree with ==, to the bit.
 EQUIVALENCE_TOL = 1e-12
 
 
@@ -76,18 +76,6 @@ class PmfEstimate(_Frozen):
     def __call__(self, query: BitPattern) -> float:
         return self._answer(query)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # spectrum and table are deterministic functions of method and dataset.
-        return self.method == other.method and self.dataset == other.dataset
-
-    def __hash__(self) -> int:
-        return hash((self.method, self.dataset))
-
-    def __reduce__(self) -> tuple:
-        # Only the method and the count map go along: unpickling refits.
-        return self.__class__, (self.method, self.dataset)
-
-    def __repr__(self) -> str:
-        return f"PmfEstimate(method={self.method!r}, dataset={self.dataset!r})"
+    def _args(self) -> tuple:
+        # A copy refits: spectrum and table are deterministic functions of these.
+        return self.method, self.dataset

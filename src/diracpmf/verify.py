@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -59,19 +58,8 @@ class BasisIndex(_Frozen):
         _set_mask(self, mask)
         _set_length(self, length)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.mask == other.mask and self.length == other.length
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.length))
-
-    def __reduce__(self) -> tuple:
-        return BasisIndex, (self.mask, self.length)
-
-    def __repr__(self) -> str:
-        return f"BasisIndex(mask={self.mask!r}, length={self.length!r})"
+    def _args(self) -> tuple:
+        return self.mask, self.length
 
 
 # The slot descriptors set the fields past _Frozen.__setattr__.
@@ -210,18 +198,22 @@ def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     return (1 << length) - 2 * (column_i ^ column_k).bit_count()
 
 
-@dataclass(frozen=True)
-class SignAssignment:
+class SignAssignment(_Frozen):
     """A fixed vector of L values, each -1 or +1."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if not values:
             raise RangeError("sign assignment needs at least one variable")
-        for value in self.values:
+        for value in values:
             if value not in (-1, 1):
                 raise RangeError(f"sign value {value} is not -1 or +1")
+        object.__setattr__(self, "values", values)
+
+    def _args(self) -> tuple:
+        return (self.values,)
 
     @property
     def length(self) -> int:
@@ -296,21 +288,23 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
     return ((1 << length) - 2 * (column_p ^ column_q).bit_count()) / (1 << length)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(_Frozen):
     """The 2^L integer numerators sum_x count(x) * phi_S(x) of a sample of size N.
 
     Two spectra are equal when their lengths, sample sizes and every numerator are.
     """
 
+    __slots__ = ("length", "sample_size", "numerators")
     length: int
     sample_size: int
     numerators: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.numerators.shape != (1 << self.length,):
+    def __init__(self, length: int, sample_size: int, numerators: np.ndarray) -> None:
+        if numerators.shape != (1 << length,):
             raise ValueError("numerator vector must have 2^L entries")
-        self.numerators.setflags(write=False)
+        numerators.setflags(write=False)
+        for name, value in zip(self.__slots__, (length, sample_size, numerators)):
+            object.__setattr__(self, name, value)
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -319,22 +313,20 @@ class Spectrum:
         coefficients.setflags(write=False)
         return coefficients
 
+    def _args(self) -> tuple:
+        return self.length, self.sample_size, self.numerators
+
+    def _key(self) -> tuple:
+        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal to it.
+        return self.length, self.sample_size, (self.numerators + 0.0).tobytes()
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (
-            (self.length, self.sample_size) == (other.length, other.sample_size)
-            and np.array_equal(self.numerators, other.numerators)
-        )
+        same_sizes = (self.length, self.sample_size) == (other.length, other.sample_size)
+        return same_sizes and np.array_equal(self.numerators, other.numerators)
 
-    def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal to it.
-        return hash((self.length, self.sample_size, (self.numerators + 0.0).tobytes()))
-
-    def __reduce__(self) -> tuple:
-        # Rebuilt through the constructor, so a pickled or deep-copied
-        # spectrum's numerators are read-only again.
-        return Spectrum, (self.length, self.sample_size, self.numerators)
+    __hash__ = _Frozen.__hash__
 
 
 def _count_vector(dataset: Dataset) -> np.ndarray:

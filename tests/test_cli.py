@@ -359,16 +359,33 @@ class TestBench:
         assert json.loads(out)["reports"][0]["agreement"] is False
         assert err == "error: estimation paths disagree\n"
 
-    @pytest.mark.parametrize("flag", ["--samples", "--queries"])
-    def test_negative_counts_exit_one(self, capsys, monkeypatch, flag):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["--length", "4", flag, "-1"], f"DiracPmfError: {flag} must be >= 0, got -1",
+                         id=flag)
+            for flag in ("--samples", "--queries")
+        ] + [
+            pytest.param([f"--length={length}"], message, id=f"--length={length}")
+            for length, message in [
+                ("-1", "LengthOutOfRange: pattern length -1 outside 1..64"),
+                ("0", "LengthOutOfRange: pattern length 0 outside 1..64"),
+                ("65", "LengthOutOfRange: pattern length 65 outside 1..64"),
+                ("25", "CapExceeded: 2^25 terms requested, at most 2^24 allowed"),
+                # The L=30 cell is refused before the L=4 one runs.
+                ("4,30", "CapExceeded: 2^30 terms requested, at most 2^24 allowed"),
+            ]
+        ],
+    )
+    def test_negative_counts_exit_one(self, capsys, monkeypatch, argv, message):
         def no_fit(*args):
             raise AssertionError("fitted before the arguments were checked")
 
         monkeypatch.setattr("diracpmf.cli.PmfEstimate.fit", no_fit)
-        code, out, err = run(capsys, "bench", "--length", "4", flag, "-1")
+        code, out, err = run(capsys, "bench", *argv)
         assert code == 1
         assert out == ""
-        assert err == f"error: DiracPmfError: {flag} must be >= 0, got -1\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("length", [20, 21])
     def test_expansion_skipped_above_cap(self, capsys, length):

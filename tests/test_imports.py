@@ -84,6 +84,11 @@ def test_serving_path_loads_no_dataclasses_or_inspect(dataset_file):
     assert (status, modules) == ("0 False", "[]")
 
 
+def test_verify_loads_no_dataclasses():
+    # Not inspect: numpy imports it itself.
+    assert run_fresh("import sys, diracpmf.verify\nprint('dataclasses' in sys.modules)") == ["False"]
+
+
 def test_oracle_modules_load_on_first_use(dataset_file):
     verify_loaded = "print('diracpmf.verify' in sys.modules)\n"
     out = run_fresh(
