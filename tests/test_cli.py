@@ -362,8 +362,8 @@ class TestBench:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(["--length", "4", flag, "-1"], f"DiracPmfError: {flag} must be >= 0, got -1",
-                         id=flag)
+            pytest.param(["--length", "4", flag, "-1"],
+                         f"DiracPmfError: {flag} must be >= 0, got -1", id=flag)
             for flag in ("--samples", "--queries")
         ] + [
             pytest.param([f"--length={length}"], message, id=f"--length={length}")
@@ -378,6 +378,8 @@ class TestBench:
         ],
     )
     def test_negative_counts_exit_one(self, capsys, monkeypatch, argv, message):
+        """A negative count or a length bench cannot run exits 1 with one line, fitting nothing."""
+
         def no_fit(*args):
             raise AssertionError("fitted before the arguments were checked")
 

@@ -305,6 +305,12 @@ class TestSpectrum:
         negative = Spectrum(1, 1, np.array([0.0, -0.0]))
         assert zeros == negative and hash(zeros) == hash(negative)
 
+    def test_nan_numerator_equals_nothing(self):
+        # Numerators compare with np.array_equal, not as the bytes the hash reads.
+        nan = Spectrum(1, 1, np.array([np.nan, 0.0]))
+        assert nan != nan and nan != Spectrum(1, 1, np.array([np.nan, 0.0]))
+        assert hash(nan) == hash(Spectrum(1, 1, np.array([np.nan, 0.0])))
+
 
 class TestEstimates:
     def test_single_sample_self_query(self):

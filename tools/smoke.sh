@@ -86,6 +86,9 @@ illegal_code=$?
 awk 'BEGIN { for (i = 1; i <= 2100; i++) print (i == 2050 ? "0x" : (i % 2 ? "01" : "11")) }' > "$tmp/long.txt"
 diracpmf estimate --input "$tmp/long.txt" --query 01 2> "$tmp/long.err"
 long_code=$?
+# A bench length outside 1..64 exits 1 with one error line, before any cell runs.
+diracpmf bench --length -1 2> "$tmp/bench.err"
+bench_code=$?
 set -e
 test "$code" -eq 1
 test "$bad_code" -eq 1
@@ -94,6 +97,10 @@ grep -q 'line 2: byte 0xe9 is not UTF-8' "$tmp/bad.err"
 grep -q "line 2: illegal character 'x'" "$tmp/illegal.err"
 test "$long_code" -eq 1
 grep -q "line 2050: illegal character 'x'" "$tmp/long.err"
+test "$bench_code" -eq 1
+test "$(wc -l < "$tmp/bench.err")" -eq 1
+grep -q '^error: LengthOutOfRange' "$tmp/bench.err"
+if grep -q Traceback "$tmp/bench.err"; then exit 1; fi
 # CRLF line endings give the same estimate as LF ones.
 sed 's/$/\r/' "$tmp/data.txt" > "$tmp/crlf.txt"
 lf_p=$(diracpmf estimate --input "$tmp/data.txt" --query 01 | grep -o '"p": [^,}]*')
