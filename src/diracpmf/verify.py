@@ -21,12 +21,12 @@ module only when one of these is asked for:
   otherwise. It is what collapses the expansion to counting, so it gets a
   brute-force evaluator plus the closed-form binomial route it reduces to;
 * the basis-product and indicator kernels;
-* expansion -- p(x) as the spectrum's numerator-weighted basis sum, / 2^L, then / N;
+* expansion -- p(x) as the spectrum's numerator-weighted basis sum / (N * 2^L);
 * fwht -- round-trip the count vector through the fast transform and divide by N.
-Both keep integers until that one division by N, so each returns count/N
-bit for bit: every partial sum is an integer of size at most
-2^L * N < 2^53, exact in float64, and the division by 2^L rounds nothing.
-Both refuse, with RangeError, a dataset whose N * 2^L reaches 2^53.
+Both fit in integers (int32 while N < 2^30, int64 from there; no sum passes
+2N) and divide once, so each returns count/N bit for bit. Both refuse, with
+RangeError, a dataset whose N * 2^L reaches 2^53, past which the float64
+coefficients numerators / (N * 2^L) stop being exact.
 """
 from __future__ import annotations
 
@@ -178,7 +178,7 @@ def sign_column(index_mask: int, length: int) -> np.ndarray:
 def sign_row(pattern_word: int, length: int) -> np.ndarray:
     """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
 
-    The signs of sign_bits(~x, L) as a new float64 array, in the numerators' dtype.
+    The signs of sign_bits(~x, L) as a new float64 array.
     """
     return _int8_signs(sign_bits(~pattern_word, length), length).astype(np.float64)
 
@@ -199,12 +199,13 @@ def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
 
 
 class SignAssignment(_Frozen):
-    """A fixed vector of L values, each -1 or +1."""
+    """A fixed vector of L values, each -1 or +1, held as a tuple."""
 
     __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __init__(self, values: tuple[int, ...]) -> None:
+    def __init__(self, values: Sequence[int]) -> None:
+        values = tuple(values)
         if not values:
             raise RangeError("sign assignment needs at least one variable")
         for value in values:
@@ -291,7 +292,7 @@ def kernel_sum(prototype: BitPattern, query: BitPattern) -> float:
 class Spectrum(_Frozen):
     """The 2^L integer numerators sum_x count(x) * phi_S(x) of a sample of size N.
 
-    Two spectra are equal when their lengths, sample sizes and every numerator are.
+    Two spectra are equal when their lengths, sample sizes and numerator values are.
     """
 
     __slots__ = ("length", "sample_size", "numerators")
@@ -300,6 +301,8 @@ class Spectrum(_Frozen):
     numerators: np.ndarray
 
     def __init__(self, length: int, sample_size: int, numerators: np.ndarray) -> None:
+        if numerators.dtype.kind != "i":
+            raise TypeError(f"numerators must be signed integers, not {numerators.dtype}")
         if numerators.shape != (1 << length,):
             raise ValueError("numerator vector must have 2^L entries")
         numerators.setflags(write=False)
@@ -317,46 +320,38 @@ class Spectrum(_Frozen):
         return self.length, self.sample_size, self.numerators
 
     def _key(self) -> tuple:
-        # + 0.0 turns -0.0 into 0.0, which array_equal counts as equal to it.
-        return self.length, self.sample_size, (self.numerators + 0.0).tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        same_sizes = (self.length, self.sample_size) == (other.length, other.sample_size)
-        return same_sizes and np.array_equal(self.numerators, other.numerators)
-
-    __hash__ = _Frozen.__hash__
+        return self.length, self.sample_size, self.numerators.astype(np.int64, copy=False).tobytes()
 
 
 def _count_vector(dataset: Dataset) -> np.ndarray:
-    """The counts over all 2^L patterns, indexed by word, as float64; N * 2^L must be < 2^53."""
+    """The counts over all 2^L patterns, indexed by word: int32 while N < 2^30, else int64."""
     check_cap(dataset.length)
     if dataset.size << dataset.length >= 1 << 53:
         raise RangeError(f"N={dataset.size} at L={dataset.length}: N*2^L must stay below 2^53")
-    vector = np.zeros(1 << dataset.length)
-    for word, count in dataset.counts.items():
-        vector[word] = count
+    vector = np.zeros(1 << dataset.length, np.int32 if dataset.size < 1 << 30 else np.int64)
+    # 1024 words at a time: the arrays beside the vector stay under 16 KiB.
+    words, values = iter(dataset.counts), iter(dataset.counts.values())
+    for block in [1024] * (len(dataset.counts) // 1024) + [len(dataset.counts) % 1024]:
+        vector[np.fromiter(words, np.intp, block)] = np.fromiter(values, vector.dtype, block)
     return vector
 
 
 def estimate_coefficients(dataset: Dataset) -> Spectrum:
     """The forward transform of the count vector, undivided (exact: see the module docstring).
 
-    The fit costs O(L * 2^L) whatever the sample and holds two float64 vectors; no BLAS call.
+    The fit costs O(L * 2^L) whatever the sample and holds two integer vectors; no BLAS call.
     """
     return Spectrum(dataset.length, dataset.size, _butterfly(_count_vector(dataset), "forward"))
 
 
 def estimate_expansion(spectrum: Spectrum, query: BitPattern) -> float:
-    """p(query): the full numerator-weighted basis sum / 2^L / N (see the module docstring)."""
-    _same_length("spectrum", spectrum.length, query)
-    row = sign_row(query.word, spectrum.length)
-    # Not np.dot: BLAS splits 2^14 or more float64 entries over its threads, and
-    # on a 2-vCPU host waking the second stalled one query in four by ~8 ms.
-    # Nor np.einsum, whose call costs ~2 us before it adds anything.
-    row *= spectrum.numerators
-    return float(np.add.reduce(row)) / (1 << spectrum.length) / spectrum.sample_size
+    """p(query): the full numerator-weighted basis sum / (N * 2^L) (see the module docstring)."""
+    length, numerators = spectrum.length, spectrum.numerators
+    _same_length("spectrum", length, query)
+    row = _int8_signs(sign_bits(~query.word, length), length).astype(numerators.dtype)
+    # Summed in int64: 2^L products of up to N each can pass int32.
+    row *= numerators
+    return int(np.add.reduce(row, dtype=np.int64)) / (spectrum.sample_size << length)
 
 
 Direction = Literal["forward", "inverse"]
@@ -384,18 +379,18 @@ def fast_transform(
 
 
 def _butterfly(data: np.ndarray, direction: Direction) -> np.ndarray:
-    """fast_transform of a float64 2^L vector, through one second vector of 2^L.
+    """fast_transform of a float64 or integer 2^L vector, through one second vector of 2^L.
 
     Per coordinate, this basis maps the pair (a, b) at x_p = 0, 1 to
-    (a + b, b - a) going forward, and back with (a - b, a + b) / 2. These
-    are the plain +/- butterfly with the sign flips of odd-order
-    coefficients folded in, and give the same floats, since a negation
-    rounds exactly. Each stage is constant-geometry (Pease 1968): it reads
-    the pairs at 2i and 2i + 1 and writes their two results to i and
-    i + 2^(L-1) of the other vector, so the lowest index bit moves to the
-    top; after L stages every bit is back in place. The 1-D strided reads
-    need no numpy buffer. The result is data at even L and the second
-    vector at odd L; data is overwritten either way.
+    (a + b, b - a) going forward, and back with (a - b, a + b) / 2: the plain
+    +/- butterfly with the sign flips of odd-order coefficients folded in, and
+    the same floats, as a negation rounds exactly. Halving rounds nothing
+    either: * 0.5 on floats, >> 1 on a round trip's integers, all even. Each
+    stage is constant-geometry (Pease 1968): it reads the pairs at 2i and
+    2i + 1 and writes their two results to i and i + 2^(L-1) of the other
+    vector, so the lowest index bit moves to the top; after L stages every bit
+    is back in place. The 1-D strided reads need no numpy buffer. The result
+    is data at even L and the second vector at odd L; data is overwritten.
     """
     half = len(data) // 2
     other = np.empty_like(data)
@@ -407,15 +402,17 @@ def _butterfly(data: np.ndarray, direction: Direction) -> np.ndarray:
         else:
             np.subtract(low, high, out=other[:half])
             np.add(low, high, out=other[half:])
+            if other.dtype.kind == "f":
+                other *= 0.5
+            else:
+                other >>= 1
         data, other = other, data
-    if direction == "inverse":
-        data /= len(data)
     return data
 
 
 def frequency_vector(dataset: Dataset) -> np.ndarray:
-    """Empirical frequencies over all 2^L patterns, indexed by word."""
-    freq = _count_vector(dataset)
+    """Empirical frequencies over all 2^L patterns, indexed by word, as float64."""
+    freq = _count_vector(dataset).astype(np.float64)
     freq /= dataset.size
     return freq
 
@@ -423,9 +420,11 @@ def frequency_vector(dataset: Dataset) -> np.ndarray:
 def fwht_table(dataset: Dataset) -> np.ndarray:
     """The fwht estimate of every pattern, indexed by word: count/N (see the module docstring).
 
-    The table is read-only, so no caller can change a later answer.
+    The round trip's integer counts are converted once to float64, and the
+    table is read-only, so no caller can change a later answer.
     """
     table = _butterfly(_butterfly(_count_vector(dataset), "forward"), "inverse")
+    table = table.astype(np.float64)
     table /= dataset.size
     table.setflags(write=False)
     return table

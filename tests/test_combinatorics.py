@@ -144,3 +144,10 @@ def test_sign_assignment_validation():
     assert SignAssignment.from_string("-").minus_count == 1
     with pytest.raises(RangeError):
         SignAssignment.from_string("+x")
+
+
+def test_sign_assignment_stores_a_tuple():
+    from_list, from_tuple = SignAssignment([1, -1]), SignAssignment((1, -1))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert repr(from_list) == repr(from_tuple) == "SignAssignment(values=(1, -1))"
+    assert from_list.values == (1, -1)

@@ -44,9 +44,9 @@ VALUES = {
         ((1, -1, 1),),
     ),
     "Spectrum": (
-        lambda: Spectrum(1, 1, np.zeros(2)),
-        "Spectrum(length=1, sample_size=1, numerators=array([0., 0.]))",
-        (1, 1, np.zeros(2)),
+        lambda: Spectrum(1, 1, np.zeros(2, np.int64)),
+        "Spectrum(length=1, sample_size=1, numerators=array([0, 0]))",
+        (1, 1, np.zeros(2, np.int64)),
     ),
 }
 

@@ -11,7 +11,9 @@ below one result per line; the tool compares the two outputs line by line.
   and with each of 12 bad lines at lines 6, 1025, 2049 and 3072; then
   ``parse_pattern`` and the dirac answer on each text's first 5,000 queries;
 * the dirac, expansion and fwht answers on every word of 3 random datasets
-  at each L = 1..12;
+  at each L = 1..12, and the bytes of each dataset's ``Spectrum.coefficients``;
+* the bytes of ``fast_transform``'s forward, round-trip and inverse outputs
+  on seeded vectors at each L = 1..12, at scales 1e-300, 1 and 1e300;
 * the stdout, stderr and exit code of ``spectrum``, ``basis``, ``lemma``
   and ``estimate``;
 * for each value type (BitPattern, BasisIndex, Dataset, PmfEstimate,
@@ -19,16 +21,17 @@ below one result per line; the tool compares the two outputs line by line.
   every other value and with the tuple of its fields, and the repr and hash
   of each copy (every pickle protocol, copy.copy, copy.deepcopy). Pickle
   bytes are left out: a value may change how it pickles and still rebuild
-  the same value.
+  the same value. Spectrum is built from integer numerators; each float
+  numerator vector gives one line, its value or the error that refuses it.
 
 A large result is printed as a digest. The workloads come from the change's
 ``perfbench/workloads.py``, so both revisions read the same texts.
 
     python3 tools/parity.py --parent HEAD~1 [--change HEAD]
 
-Run it from the repository root. It prints the first line that differs and
-exits 1, or the number of identical lines and exits 0. It takes about 10 s
-on 2 vCPUs.
+Run it from the repository root. It prints the lines that differ (the
+first 20, then how many differ in all) and exits 1, or the number of
+identical lines and exits 0. It takes about 10 s on 2 vCPUs.
 """
 from __future__ import annotations
 
@@ -85,6 +88,10 @@ def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
 
+def array_digest(array) -> str:
+    return f"{array.dtype} {hashlib.sha256(array.tobytes()).hexdigest()[:16]}"
+
+
 def outcome(show, call, *args) -> str:
     """show(call(*args)), or the type and message of the error it raises."""
     from diracpmf import DiracPmfError
@@ -134,7 +141,7 @@ def dataset_lines(workloads_dir: str) -> list[str]:
 
 
 def path_lines() -> list[str]:
-    from diracpmf import PmfEstimate, all_patterns, dataset_from_words
+    from diracpmf import PmfEstimate, all_patterns, dataset_from_words, estimate_coefficients
     rng = random.Random(31)
     out = []
     for length in range(1, 13):
@@ -145,6 +152,21 @@ def path_lines() -> list[str]:
                 estimate = PmfEstimate.fit(dataset, method)
                 answers = [estimate(query) for query in all_patterns(length)]
                 out.append(f"paths L={length} #{number} {method}: {digest(repr(answers))}")
+            coefficients = estimate_coefficients(dataset).coefficients
+            out.append(f"coefficients L={length} #{number}: {array_digest(coefficients)}")
+    return out
+
+
+def transform_lines() -> list[str]:
+    from diracpmf import fast_transform
+    rng = random.Random(32)
+    out = []
+    for length, scale in itertools.product(range(1, 13), (1e-300, 1.0, 1e300)):
+        values = [rng.uniform(-scale, scale) for _ in range(1 << length)]
+        forward = fast_transform(values)
+        outputs = [forward, fast_transform(forward, "inverse"), fast_transform(values, "inverse")]
+        out.append(f"fast_transform L={length} scale {scale}: forward, round trip, inverse"
+                   f" {' '.join(map(array_digest, outputs))}")
     return out
 
 
@@ -199,9 +221,22 @@ def values() -> list:
         *map(SignAssignment, [(1,), (-1,), (1, -1, 1), (1, 1, 1)]),
         SignAssignment.from_string("+-+"),
         *map(estimate_coefficients, datasets[:4]),
-        Spectrum(1, 1, np.zeros(2)), Spectrum(1, 1, np.array([-0.0, 0.0])),
-        Spectrum(1, 2, np.zeros(2)), Spectrum(1, 1, np.array([np.nan, 0.0])),
+        Spectrum(1, 1, np.zeros(2, np.int64)), Spectrum(1, 1, np.array([-1, 1])),
+        Spectrum(1, 2, np.zeros(2, np.int64)), Spectrum(1, 1, np.array([3, 0], np.int32)),
+        Spectrum(1, 1, np.array([3, 0], np.int64)),
     ]
+
+
+def float_spectrum_lines() -> list[str]:
+    import numpy as np
+
+    from diracpmf.verify import Spectrum
+
+    def show(spectrum) -> str:
+        return f"{spectrum!r} hash {hash(spectrum)}"
+
+    return [f"spectrum from {numerators!r}: {outcome(show, Spectrum, 1, 1, np.array(numerators))}"
+            for numerators in ([0.0, 0.0], [-0.0, 0.0], [np.nan, 0.0], [3.0, 0.0])]
 
 
 def value_lines() -> list[str]:
@@ -228,8 +263,8 @@ def value_lines() -> list[str]:
 
 def corpus(workloads_dir: str) -> None:
     """Print every result of the corpus, one per line (run in the child)."""
-    for line in [*parse_lines(), *dataset_lines(workloads_dir), *path_lines(), *cli_lines(),
-                 *value_lines()]:
+    for line in [*parse_lines(), *dataset_lines(workloads_dir), *path_lines(), *transform_lines(),
+                 *cli_lines(), *value_lines(), *float_spectrum_lines()]:
         print(line.encode("unicode_escape").decode())
 
 
@@ -263,11 +298,13 @@ def main() -> int:
         for side, tree in trees.items():
             outputs[side] = run_corpus(tree, trees["change"] / "perfbench")
     pairs = itertools.zip_longest(outputs["parent"], outputs["change"], fillvalue="(no line)")
-    for number, (old, new) in enumerate(pairs, 1):
-        if old != new:
-            print(f"first difference, line {number}:\n  parent {revisions['parent'][:12]}: {old}\n"
-                  f"  change {revisions['change'][:12]}: {new}")
-            return 1
+    differences = [(number, old, new) for number, (old, new) in enumerate(pairs, 1) if old != new]
+    for number, old, new in differences[:20]:
+        print(f"line {number}:\n  parent {revisions['parent'][:12]}: {old}\n"
+              f"  change {revisions['change'][:12]}: {new}")
+    if differences:
+        print(f"parity: {len(differences)} of {len(outputs['change'])} lines differ")
+        return 1
     print(f"parity: {len(outputs['change'])} lines identical at {revisions['parent'][:12]}"
           f" and {revisions['change'][:12]}")
     return 0

@@ -48,6 +48,18 @@ expansion_p=$(diracpmf estimate --method expansion --input "$tmp/l10.txt" --quer
 test -n "$dirac_p"
 test "$dirac_p" != '"p": 0.0'
 test "$dirac_p" = "$expansion_p"
+# L=11 is the first odd length past that table: the fits' integer inverse
+# halves after each of 11 stages and ends in the butterfly's second vector.
+awk 'BEGIN { for (i = 0; i < 300; i++) { w = (i * i * 37 + 11) % 2048; s = "";
+  for (b = 0; b < 11; b++) s = s int(w / 2 ^ b) % 2; print s } }' > "$tmp/l11.txt"
+query=$(head -n 1 "$tmp/l11.txt")
+dirac_p=$(diracpmf estimate --method dirac --input "$tmp/l11.txt" --query "$query" | grep -o '"p": [^,}]*')
+test -n "$dirac_p"
+test "$dirac_p" != '"p": 0.0'
+for method in fwht expansion; do
+  p=$(diracpmf estimate --method "$method" --input "$tmp/l11.txt" --query "$query" | grep -o '"p": [^,}]*')
+  test "$p" = "$dirac_p"
+done
 # The streamed indented output must parse as one JSON document.
 diracpmf basis --length 3 --pretty | python -c 'import json, sys; json.load(sys.stdin)'
 diracpmf spectrum --input "$tmp/odd.txt" --pretty | python -c 'import json, sys; json.load(sys.stdin)'
