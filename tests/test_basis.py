@@ -182,7 +182,7 @@ def test_basis_index_takes_integers_only():
 
 
 def test_sign_row_matches_coefficient_dtype():
-    # A float64 row keeps the expansion query a float.float dot.
+    # float64, the dtype of Spectrum.coefficients; the query itself multiplies int8 signs.
     row = sign_row(0b0110, 4)
     assert row.dtype.name == "float64"
     assert list(row) == [eval_basis(BasisIndex(mask, 4), BitPattern.from_word(0b0110, 4))
