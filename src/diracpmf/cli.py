@@ -273,9 +273,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ) from None
     if not lengths:
         raise DiracPmfError("--length must list at least one L")
-    for flag, value in (("--samples", args.samples), ("--queries", args.queries)):
-        if value < 0:
-            raise DiracPmfError(f"{flag} must be >= 0, got {value}")
+    for flag, value, least in (("--samples", args.samples, 1), ("--queries", args.queries, 0)):
+        if value < least:
+            raise DiracPmfError(f"{flag} must be >= {least}, got {value}")
     for length in lengths:  # every cell fits fwht, so each length must pass its cap
         check_cap(_check_length(length))
     reports = []

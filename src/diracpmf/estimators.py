@@ -41,8 +41,8 @@ class PmfEstimate(_Frozen):
 
     The constructor fits, so every spectrum and table comes from the dataset,
     and binds the method's public query function to what it reads: the
-    dataset (dirac), the spectrum (expansion) or the table (fwht). A call is
-    that function's call, one length check and then the method's work.
+    dataset (dirac), the spectrum (expansion) or the table and N (fwht). A
+    call is that function's call, one length check and then the method's work.
     """
 
     __slots__ = ("method", "dataset", "spectrum", "table", "_answer")
@@ -62,7 +62,7 @@ class PmfEstimate(_Frozen):
         elif method == "fwht":
             from .verify import _read_table, fwht_table
             table = fwht_table(dataset)
-            answer = MethodType(_read_table, table)
+            answer = MethodType(_read_table, (table, dataset.size))
         else:
             raise ValueError(f"unknown estimation method {method!r}")
         # A bound method refers to what it reads, not to the estimate: no cycle.

@@ -14,19 +14,20 @@ module only when one of these is asked for:
   bitset's low 9 coordinates come from _LOW_SIGNS, a 512-entry table built
   at import by the same doublings; the rest are doubled per call. The
   orthogonality, kernel and lemma sums are popcounts of XORed bitsets, and
-  the numpy vectors (sign_row, sign_column) expand a bitset a byte at a
-  time through _BYTE_SIGNS;
+  the int8 vectors (sign_column, the expansion query's row) expand a bitset
+  a byte at a time through _BYTE_SIGNS;
 * the sign-variable lemma: for L variables a_1..a_L in {-1, +1}, the sum
   of all 2^L subset products equals 2^L when every variable is +1 and 0
   otherwise. It is what collapses the expansion to counting, so it gets a
   brute-force evaluator plus the closed-form binomial route it reduces to;
 * the basis-product and indicator kernels;
 * expansion -- p(x) as the spectrum's numerator-weighted basis sum / (N * 2^L);
-* fwht -- round-trip the count vector through the fast transform and divide by N.
+* fwht -- round-trip the count vector through the fast transform; a query
+  divides the count at its word by N.
 Both fit in integers (int32 while N < 2^30, int64 from there; no sum passes
-2N) and divide once, so each returns count/N bit for bit. Both refuse, with
-RangeError, a dataset whose N * 2^L reaches 2^53, past which the float64
-coefficients numerators / (N * 2^L) stop being exact.
+2N) and answer with one Python int division, so each returns count/N bit
+for bit. Both refuse, with RangeError, a dataset whose N * 2^L reaches 2^53,
+past which the float64 coefficients numerators / (N * 2^L) stop being exact.
 """
 from __future__ import annotations
 
@@ -175,14 +176,6 @@ def sign_column(index_mask: int, length: int) -> np.ndarray:
     return column
 
 
-def sign_row(pattern_word: int, length: int) -> np.ndarray:
-    """Vector of phi_S(x) over all subset masks S in mask order, for fixed x.
-
-    The signs of sign_bits(~x, L) as a new float64 array.
-    """
-    return _int8_signs(sign_bits(~pattern_word, length), length).astype(np.float64)
-
-
 def orthogonality_sum(i: BasisIndex, k: BasisIndex) -> int:
     """Sum phi_i(x)*phi_k(x) over all 2^L patterns, by explicit summation.
 
@@ -211,7 +204,8 @@ class SignAssignment(_Frozen):
         for value in values:
             if value not in (-1, 1):
                 raise RangeError(f"sign value {value} is not -1 or +1")
-        object.__setattr__(self, "values", values)
+        # operator.index refuses 1.0, and stores True or a numpy int as int.
+        object.__setattr__(self, "values", tuple(map(operator.index, values)))
 
     def _args(self) -> tuple:
         return (self.values,)
@@ -301,6 +295,9 @@ class Spectrum(_Frozen):
     numerators: np.ndarray
 
     def __init__(self, length: int, sample_size: int, numerators: np.ndarray) -> None:
+        length = _check_length(length)
+        if sample_size < 1:
+            raise ValueError(f"sample size {sample_size} is not positive")
         if numerators.dtype.kind != "i":
             raise TypeError(f"numerators must be signed integers, not {numerators.dtype}")
         if numerators.shape != (1 << length,):
@@ -418,26 +415,24 @@ def frequency_vector(dataset: Dataset) -> np.ndarray:
 
 
 def fwht_table(dataset: Dataset) -> np.ndarray:
-    """The fwht estimate of every pattern, indexed by word: count/N (see the module docstring).
+    """The fwht round trip of the count vector, indexed by word: the counts, read-only.
 
-    The round trip's integer counts are converted once to float64, and the
-    table is read-only, so no caller can change a later answer.
+    A query divides its entry by N; no caller can change a later answer.
     """
     table = _butterfly(_butterfly(_count_vector(dataset), "forward"), "inverse")
-    table = table.astype(np.float64)
-    table /= dataset.size
     table.setflags(write=False)
     return table
 
 
-def _read_table(table: np.ndarray, query: BitPattern) -> float:
-    """p(query) read from an fwht_table: the entry at the query's word."""
+def _read_table(counts: tuple[np.ndarray, int], query: BitPattern) -> float:
+    """p(query) read from the pair (fwht_table, N): the count at the query's word over N."""
+    table, size = counts
     _same_length("table", len(table).bit_length() - 1, query)
-    return float(table[query.word])
+    return table.item(query.word) / size
 
 
 def estimate_fwht(dataset: Dataset, query: BitPattern) -> float:
     """Read p(query) from the fwht round trip of the whole dataset."""
     # Checked before the fit, so a wrong query costs no 2^L work.
     _same_length("dataset", dataset.length, query)
-    return _read_table(fwht_table(dataset), query)
+    return _read_table((fwht_table(dataset), dataset.size), query)

@@ -22,7 +22,6 @@ from diracpmf.verify import (
     orthogonality_sum,
     sign_bits,
     sign_column,
-    sign_row,
 )
 
 
@@ -181,12 +180,9 @@ def test_basis_index_takes_integers_only():
         BasisIndex(np.int64(4), 2)
 
 
-def test_sign_row_matches_coefficient_dtype():
-    # float64, the dtype of Spectrum.coefficients; the query itself multiplies int8 signs.
-    row = sign_row(0b0110, 4)
-    assert row.dtype.name == "float64"
-    assert list(row) == [eval_basis(BasisIndex(mask, 4), BitPattern.from_word(0b0110, 4))
-                         for mask in range(16)]
+def expansion_row(word: int, length: int) -> np.ndarray:
+    """The int8 signs phi_S(word) in mask order S: the row estimate_expansion multiplies."""
+    return verify._int8_signs(sign_bits(~word, length), length)
 
 
 @pytest.mark.parametrize("length", range(1, 9))
@@ -194,7 +190,8 @@ def test_sign_vectors_match_eval_basis_everywhere(length):
     size = 1 << length
     patterns = [BitPattern.from_word(word, length) for word in range(size)]
     for word, pattern in enumerate(patterns):
-        assert list(sign_row(word, length)) == [
+        assert expansion_row(word, length).dtype == np.int8
+        assert list(expansion_row(word, length)) == [
             eval_basis(BasisIndex(mask, length), pattern) for mask in range(size)
         ]
     for mask in range(size):
@@ -217,7 +214,7 @@ def subset_and_pattern(draw):
 def test_sign_vectors_match_eval_basis_at_drawn_points(case):
     length, mask, word = case
     want = eval_basis(BasisIndex(mask, length), BitPattern.from_word(word, length))
-    assert sign_row(word, length)[mask] == want
+    assert expansion_row(word, length)[mask] == want
     assert sign_column(mask, length)[word] == want
 
 
@@ -274,8 +271,8 @@ def test_basis_index_is_an_immutable_value(copies):
 
 
 # sign_bits reads the low 9 coordinates from a table built at import and
-# doubles the rest, and sign_row and sign_column expand its bitset through a
-# table of bytes; these hold them to the plain L doublings from one point.
+# doubles the rest, and the expansion row and sign_column expand its bitset
+# through a table of bytes; these hold them to the plain L doublings from one point.
 
 
 def doubled_sign_bits(flip_mask: int, length: int) -> int:
@@ -301,9 +298,8 @@ def assert_vectors_are_the_doubled_bytes(mask: int, length: int) -> None:
     column = sign_column(mask, length)
     assert column.dtype == np.int8 and not column.flags.writeable
     assert column.tobytes() == doubled_sign_bytes(mask, length)[::-1]
-    row = sign_row(mask, length)
-    want = np.frombuffer(doubled_sign_bytes(~mask, length), np.int8).astype(np.float64)
-    assert row.dtype == np.float64 and row.tobytes() == want.tobytes()
+    row = expansion_row(mask, length)
+    assert row.dtype == np.int8 and row.tobytes() == doubled_sign_bytes(~mask, length)
 
 
 @pytest.mark.parametrize("length", range(1, 11))
@@ -330,15 +326,10 @@ def test_byte_sign_table_holds_minus_one_exactly_at_the_set_bits():
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 8, 12])
-def test_sign_column_is_read_only_and_sign_row_is_new_and_writable(length):
+def test_sign_column_is_read_only(length):
     column = sign_column(1, length)
     with pytest.raises(ValueError, match="read-only"):
         column[0] = 1
-    first, second = sign_row(1, length), sign_row(1, length)
-    assert first.flags.writeable and first.flags.owndata and first.dtype == np.float64
-    assert not np.shares_memory(first, second)
-    first *= 3.0  # estimate_expansion multiplies its row in place
-    assert list(sign_row(1, length)) == list(second)
     assert list(sign_column(1, length)) == list(column)
 
 

@@ -350,7 +350,7 @@ class TestBench:
         assert "speedup_expansion_over_dirac" not in report
 
     def test_nan_answer_disagrees(self, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "_read_table", lambda table, query: float("nan"))
+        monkeypatch.setattr(verify, "_read_table", lambda counts, query: float("nan"))
         code, out, err = run(
             capsys, "bench", "--length", "4", "--samples", "30",
             "--queries", "25", "--seed", "7",
@@ -362,9 +362,12 @@ class TestBench:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(["--length", "4", flag, "-1"],
-                         f"DiracPmfError: {flag} must be >= 0, got -1", id=flag)
-            for flag in ("--samples", "--queries")
+            pytest.param(["--length", "4", flag, value], f"DiracPmfError: {message}", id=name)
+            for name, flag, value, message in [
+                ("--samples", "--samples", "-1", "--samples must be >= 1, got -1"),
+                ("--samples=0", "--samples", "0", "--samples must be >= 1, got 0"),
+                ("--queries", "--queries", "-1", "--queries must be >= 0, got -1"),
+            ]
         ] + [
             pytest.param([f"--length={length}"], message, id=f"--length={length}")
             for length, message in [
@@ -378,7 +381,7 @@ class TestBench:
         ],
     )
     def test_negative_counts_exit_one(self, capsys, monkeypatch, argv, message):
-        """A negative count or a length bench cannot run exits 1 with one line, fitting nothing."""
+        """A count or a length bench cannot run exits 1 with one line, fitting nothing."""
 
         def no_fit(*args):
             raise AssertionError("fitted before the arguments were checked")

@@ -151,3 +151,14 @@ def test_sign_assignment_stores_a_tuple():
     assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
     assert repr(from_list) == repr(from_tuple) == "SignAssignment(values=(1, -1))"
     assert from_list.values == (1, -1)
+    # Stored through operator.index: a float is refused, True and numpy ints stored as int.
+    for values in ([1.0, -1], [1, -1.0], (np.float64(-1),)):
+        with pytest.raises(TypeError):
+            SignAssignment(values)
+    for values in ([True, -1], [np.int64(1), -1], (np.int8(1), np.int64(-1))):
+        assignment = SignAssignment(values)
+        assert all(type(value) is int for value in assignment.values)
+        assert assignment == from_tuple and hash(assignment) == hash(from_tuple)
+        assert repr(assignment) == "SignAssignment(values=(1, -1))"
+    with pytest.raises(RangeError):
+        SignAssignment([False, 1])

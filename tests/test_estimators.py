@@ -16,6 +16,7 @@ from diracpmf import (
     CapExceeded,
     Dataset,
     LengthMismatch,
+    LengthOutOfRange,
     NotPowerOfTwo,
     PmfEstimate,
     RangeError,
@@ -237,9 +238,9 @@ SPREAD_DATASETS = [
 )
 def test_transform_peak_is_two_tables(name, length, spread):
     # In float64 tables of 2^L: fast_transform holds its float64 copy and the
-    # butterfly's second vector (2); the fits hold two int32 vectors (1), and
-    # fwht_table its float64 result beside the round trip's counts (1.5). A
-    # stage that made numpy buffer its operands would add 3 x 64 KiB at L <= 14.
+    # butterfly's second vector (2); the fits, fwht_table's too, hold two int32
+    # vectors (1). A stage that made numpy buffer its operands would add
+    # 3 x 64 KiB at L <= 14.
     rng = random.Random(length)
     values = np.array([rng.random() for _ in range(1 << length)])
     if spread is None:
@@ -256,7 +257,7 @@ def test_transform_peak_is_two_tables(name, length, spread):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = {"fast_transform": 2.0, "fwht_table": 1.5, "estimate_coefficients": 1.0}[name]
+    tables = {"fast_transform": 2.0, "fwht_table": 1.0, "estimate_coefficients": 1.0}[name]
     assert peak <= tables * (8 << length) + (16 << 10)
 
 
@@ -312,6 +313,17 @@ class TestSpectrum:
         assert narrow == wide and hash(narrow) == hash(wide)
         assert narrow != Spectrum(1, 1, np.array([3, 1], np.int32))
         assert narrow != Spectrum(1, 3, np.array([3, -1], np.int64))
+
+    def test_length_and_sample_size_are_checked(self):
+        with pytest.raises(LengthOutOfRange, match="^pattern length 0 outside 1..64$"):
+            Spectrum(0, 1, np.array([5]))
+        with pytest.raises(LengthOutOfRange, match="^pattern length -1 outside 1..64$"):
+            Spectrum(-1, 1, np.zeros(2, np.int64))
+        for size in (0, -1):
+            with pytest.raises(ValueError, match=f"^sample size {size} is not positive$"):
+                Spectrum(1, size, np.zeros(2, np.int64))
+        spectrum = Spectrum(np.int64(1), 1, np.array([1, -1]))
+        assert type(spectrum.length) is int and spectrum == Spectrum(1, 1, np.array([1, -1]))
 
 
 class TestEstimates:
@@ -377,24 +389,28 @@ class TestEstimates:
         length, words = case
         dataset = dataset_from_words(words, length)
         table = verify.fwht_table(dataset)
-        assert not table.flags.writeable
+        assert table.dtype == np.int32 and not table.flags.writeable
         fwht = PmfEstimate.fit(dataset, "fwht")
         expansion = PmfEstimate.fit(dataset, "expansion")
         for query in all_patterns(length):
             dirac = estimate_dirac(dataset, query)
-            assert table[query.word] == fwht(query) == expansion(query) == dirac
+            assert table.item(query.word) == dataset.counts.get(query.word, 0)
+            answer = table.item(query.word) / dataset.size
+            assert answer == fwht(query) == expansion(query) == dirac
         for word in {words[0], words[-1], (1 << length) - 1}:
             query = BitPattern.from_word(word, length)
             assert estimate_fwht(dataset, query) == estimate_dirac(dataset, query)
 
     def test_fwht_is_count_over_n_exactly_at_l18(self):
         dataset = random_dataset(random.Random(18), 18, 10**5)
-        dirac = np.zeros(1 << 18)
-        for word in dataset.counts:
+        dirac, counts = np.zeros(1 << 18), np.zeros(1 << 18, np.int32)
+        for word, count in dataset.counts.items():
             dirac[word] = estimate_dirac(dataset, BitPattern.from_word(word, 18))
-        assert np.array_equal(verify.fwht_table(dataset), dirac)
+            counts[word] = count
+        assert np.array_equal(verify.fwht_table(dataset), counts)
         fwht = PmfEstimate.fit(dataset, "fwht")
-        assert np.array_equal(fwht.table, dirac)
+        assert fwht.table.dtype == np.int32 and np.array_equal(fwht.table, counts)
+        assert np.array_equal(fwht.table / dataset.size, dirac)
         expansion = PmfEstimate.fit(dataset, "expansion")
         unseen = next(word for word in range(1 << 18) if word not in dataset.counts)
         for word in (next(iter(dataset.counts)), unseen):
@@ -651,7 +667,7 @@ class TestPmfEstimateBehaviour:
             assert [other(query) for query in queries] == want
 
     def test_pickle_carries_no_table(self):
-        # The table is 2^16 float64s, 512 KiB; the pickle holds the count map only.
+        # The table is 2^16 int32 counts, 256 KiB; the pickle holds the count map only.
         dataset = random_dataset(random.Random(16), 16, 1000)
         estimate = PmfEstimate.fit(dataset, "fwht")
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):

@@ -59,7 +59,6 @@ WALKS = {
     ),
     "fit-expansion": lambda length: PmfEstimate.fit(one_word(length), "expansion"),
     "fit-fwht": lambda length: PmfEstimate.fit(one_word(length), "fwht"),
-    "sign_row": lambda length: verify.sign_row(0, length),
     "sign_column": lambda length: verify.sign_column(0, length),
     "sign_bits": lambda length: verify.sign_bits(0, length),
 }
@@ -99,7 +98,7 @@ def test_refusal_allocates_nothing(name):
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("name", ["sign_row", "sign_column", "sign_bits"])
+@pytest.mark.parametrize("name", ["sign_column", "sign_bits"])
 def test_sign_vector_at_l40_is_refused_before_allocating(name):
     tracemalloc.start()
     try:

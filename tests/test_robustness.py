@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from diracpmf import BitPattern, verify
-from diracpmf.verify import BasisIndex, eval_basis, sign_row
+from diracpmf.verify import BasisIndex, eval_basis, sign_bits, sign_column
 from diracpmf.cli import main
 
 
@@ -62,13 +62,16 @@ def test_bench_length_not_integers_exits_one(capsys):
 def test_sign_vectors_leave_no_array_behind():
     tracemalloc.start()
     try:
-        sign_row(0, 12)
-        row = sign_row(0b1011, 20)
-        pattern = BitPattern.from_word(0b1011, 20)
+        sign_column(0, 12)
+        # The row estimate_expansion multiplies, and one column.
+        row = verify._int8_signs(sign_bits(~0b1011, 20), 20)
+        column = sign_column(0b1011, 20)
+        pattern, index = BitPattern.from_word(0b1011, 20), BasisIndex(0b1011, 20)
         rng = random.Random(5)
         for mask in [0, (1 << 20) - 1] + [rng.getrandbits(20) for _ in range(50)]:
             assert row[mask] == eval_basis(BasisIndex(mask, 20), pattern)
-        del row
+            assert column[mask] == eval_basis(index, BitPattern.from_word(mask, 20))
+        del row, column
         held = tracemalloc.take_snapshot().filter_traces(
             [tracemalloc.Filter(True, verify.__file__)]
         )

@@ -14,8 +14,14 @@ below one result per line; the tool compares the two outputs line by line.
   at each L = 1..12, and the bytes of each dataset's ``Spectrum.coefficients``;
 * the bytes of ``fast_transform``'s forward, round-trip and inverse outputs
   on seeded vectors at each L = 1..12, at scales 1e-300, 1 and 1e300;
-* the stdout, stderr and exit code of ``spectrum``, ``basis``, ``lemma``
-  and ``estimate``;
+* the stdout, stderr and exit code of ``spectrum``, ``basis``, ``lemma``,
+  ``estimate`` and ``bench --samples 0``;
+* the bytes of ``sign_bits``, of ``sign_column`` and of the row the
+  expansion query multiplies, for masks 0, 1, 2^L - 1, one drawn mask and
+  one negative mask at each L = 1..12;
+* what ``SignAssignment`` makes of a float, a bool and a numpy int, what
+  ``Spectrum`` makes of L = 0, N = 0 and N = -1, and the expansion answer
+  on the N = 0 spectrum: a value or the error that refuses it;
 * for each value type (BitPattern, BasisIndex, Dataset, PmfEstimate,
   SignAssignment, Spectrum): each value's repr and hash, its equality with
   every other value and with the tuple of its fields, and the repr and hash
@@ -97,7 +103,7 @@ def outcome(show, call, *args) -> str:
     from diracpmf import DiracPmfError
     try:
         return show(call(*args))
-    except (DiracPmfError, ValueError, TypeError) as exc:
+    except (DiracPmfError, ValueError, TypeError, ArithmeticError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -184,6 +190,7 @@ def cli_lines() -> list[str]:
         *(["estimate", "--input", file, "--query", query, "--method", method]
           for file, query in (("{L2}", "01"), ("{L3}", "110"), ("{L3}", "01"))
           for method in ("dirac", "expansion", "fwht")),
+        ["bench", "--length", "4", "--samples", "0"],
     ]
     out = []
     with tempfile.TemporaryDirectory() as directory:
@@ -239,6 +246,43 @@ def float_spectrum_lines() -> list[str]:
             for numerators in ([0.0, 0.0], [-0.0, 0.0], [np.nan, 0.0], [3.0, 0.0])]
 
 
+def sign_lines() -> list[str]:
+    from diracpmf.verify import _int8_signs, sign_bits, sign_column
+    rng = random.Random(33)
+    out = []
+    for length in range(1, 13):
+        drawn = rng.getrandbits(length)
+        for mask in (0, 1, (1 << length) - 1, drawn, -1 - drawn):
+            bits = digest(f"{sign_bits(mask, length):x}")
+            column = array_digest(sign_column(mask, length))
+            row = array_digest(_int8_signs(sign_bits(~mask, length), length))
+            out.append(f"signs L={length} mask {mask}: bits {bits} column {column} row {row}")
+    return out
+
+
+def constructor_lines() -> list[str]:
+    import numpy as np
+
+    from diracpmf import BitPattern
+    from diracpmf.verify import SignAssignment, Spectrum, estimate_expansion
+
+    def show(spectrum) -> str:
+        return f"{spectrum!r} hash {hash(spectrum)} coefficients {spectrum.coefficients!r}"
+
+    def expansion_at_n_0() -> float:
+        spectrum = Spectrum(1, 0, np.zeros(2, np.int64))
+        return estimate_expansion(spectrum, BitPattern.from_word(0, 1))
+
+    out = [f"sign assignment from {values!r}: {outcome(repr, SignAssignment, values)}"
+           for values in ([1.0, -1], [True, -1], [np.int64(1), -1])]
+    for length, size, numerators in [(0, 1, np.array([5])), (1, 0, np.zeros(2, np.int64)),
+                                     (1, -1, np.array([3, -1]))]:
+        out.append(f"spectrum L={length} N={size}:"
+                   f" {outcome(show, Spectrum, length, size, numerators)}")
+    out.append(f"expansion on the N=0 spectrum: {outcome(repr, expansion_at_n_0)}")
+    return out
+
+
 def value_lines() -> list[str]:
     items = values()
     out = []
@@ -264,7 +308,8 @@ def value_lines() -> list[str]:
 def corpus(workloads_dir: str) -> None:
     """Print every result of the corpus, one per line (run in the child)."""
     for line in [*parse_lines(), *dataset_lines(workloads_dir), *path_lines(), *transform_lines(),
-                 *cli_lines(), *value_lines(), *float_spectrum_lines()]:
+                 *cli_lines(), *value_lines(), *float_spectrum_lines(), *sign_lines(),
+                 *constructor_lines()]:
         print(line.encode("unicode_escape").decode())
 
 

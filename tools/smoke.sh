@@ -101,6 +101,9 @@ long_code=$?
 # A bench length outside 1..64 exits 1 with one error line, before any cell runs.
 diracpmf bench --length -1 2> "$tmp/bench.err"
 bench_code=$?
+# A bench with no samples exits 1 naming the flag, before any cell runs.
+diracpmf bench --length 4 --samples 0 2> "$tmp/samples.err"
+samples_code=$?
 set -e
 test "$code" -eq 1
 test "$bad_code" -eq 1
@@ -113,6 +116,10 @@ test "$bench_code" -eq 1
 test "$(wc -l < "$tmp/bench.err")" -eq 1
 grep -q '^error: LengthOutOfRange' "$tmp/bench.err"
 if grep -q Traceback "$tmp/bench.err"; then exit 1; fi
+test "$samples_code" -eq 1
+test "$(wc -l < "$tmp/samples.err")" -eq 1
+grep -q '^error: DiracPmfError: --samples' "$tmp/samples.err"
+if grep -q Traceback "$tmp/samples.err"; then exit 1; fi
 # CRLF line endings give the same estimate as LF ones.
 sed 's/$/\r/' "$tmp/data.txt" > "$tmp/crlf.txt"
 lf_p=$(diracpmf estimate --input "$tmp/data.txt" --query 01 | grep -o '"p": [^,}]*')
