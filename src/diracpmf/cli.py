@@ -33,8 +33,6 @@ BENCH_EXPANSION_CAP = 20
 BENCH_REPETITIONS = 7
 #: Queries per timed chunk; the methods take turns chunk by chunk.
 BENCH_CHUNK_QUERIES = 100
-#: Least untimed warm-up per benchmark cell, in seconds.
-BENCH_WARMUP_S = 0.2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +108,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     from . import verify
-    length = args.length
+    length = _check_length(args.length)
     if args.check == "table":
         # members: the participating coordinates, 1-based, ascending.
         entries = (
@@ -125,7 +123,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     # Full pairwise orthogonality: the forward transform of sign column k is
     # sum_x phi_i(x) * phi_k(x) for every i, exact in float64 (|sum| <= 2^12), and
     # must be 2^L at i = k, else 0. It trusts the butterfly to match sign_bits.
-    check_cap(2 * _check_length(length))
+    check_cap(2 * length)
     size = 1 << length
     report: dict[str, Any] = {
         "L": length, "check": "orthogonality", "pairs": size * size, "pass": True
@@ -206,19 +204,12 @@ def _bench_one_length(
         "notes": notes,
     }
 
-    # Warm up for one full round and at least BENCH_WARMUP_S, excluded from
-    # the medians: the first cell in a fresh process starts cold. With one
-    # round only, 20 fresh criterion-7 runs on a 2-vCPU host read an L=8 ratio
-    # up to 17.6 against 16.4 with the minimum, though 60 alternating pairs
-    # later read no difference (max 18.3 both ways); the minimum stays.
-    warm_until = time.perf_counter() + BENCH_WARMUP_S
-    while True:
-        for method in methods:
-            estimate = PmfEstimate.fit(dataset, method)
-            for pattern in query_patterns:
-                estimate(pattern)
-        if time.perf_counter() >= warm_until:
-            break
+    # One untimed round, excluded from the medians: the first cell in a fresh
+    # process starts cold, and its answers are what the paths must agree on.
+    values: dict[str, list[float]] = {}
+    for method in methods:
+        estimate = PmfEstimate.fit(dataset, method)
+        values[method] = [estimate(pattern) for pattern in query_patterns]
     # The methods' timed queries interleave in chunks, so a slow spell on a
     # shared host lands on every method of one chunk rather than on one
     # method's whole series, and the per-chunk ratios cancel it.
@@ -234,14 +225,12 @@ def _bench_one_length(
             start = time.perf_counter()
             estimates[method] = PmfEstimate.fit(dataset, method)
             build_times[method].append(time.perf_counter() - start)
-        values: dict[str, list[float]] = {method: [] for method in methods}
         for chunk in chunks:
             for method in methods:
                 estimate = estimates[method]
                 start = time.perf_counter()
-                results = [estimate(pattern) for pattern in chunk]
+                [estimate(pattern) for pattern in chunk]
                 query_times[method].append((time.perf_counter() - start) / len(chunk))
-                values[method] += results
     timing: dict[str, dict[str, float]] = {}
     for method in methods:
         timing[method] = {"build_s": statistics.median(build_times[method])}

@@ -295,7 +295,8 @@ class Spectrum(_Frozen):
     numerators: np.ndarray
 
     def __init__(self, length: int, sample_size: int, numerators: np.ndarray) -> None:
-        length = _check_length(length)
+        # operator.index refuses 1.5, and stores True or a numpy int as int.
+        length, sample_size = _check_length(length), operator.index(sample_size)
         if sample_size < 1:
             raise ValueError(f"sample size {sample_size} is not positive")
         if numerators.dtype.kind != "i":

@@ -1,13 +1,15 @@
+import collections
 import json
+import math
 import random
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from diracpmf import load_dataset, verify
+from diracpmf import PmfEstimate, load_dataset, verify
 from diracpmf.verify import estimate_coefficients
-from diracpmf.cli import main
+from diracpmf.cli import BENCH_REPETITIONS, main
 
 
 @pytest.fixture
@@ -358,6 +360,45 @@ class TestBench:
         assert code == 2
         assert json.loads(out)["reports"][0]["agreement"] is False
         assert err == "error: estimation paths disagree\n"
+
+    def test_one_wrong_answer_disagrees(self, capsys, monkeypatch):
+        # The cell's seeding: samples first, then queries, from seed * 1000003 + L.
+        rng = random.Random(7 * 1000003 + 4)
+        for _ in range(30):
+            rng.getrandbits(4)
+        words = [rng.getrandbits(4) for _ in range(25)]
+        wrong = next(word for word in words if words.count(word) == 1)
+        real = verify.estimate_expansion
+
+        def one_ulp_off(spectrum, query):
+            answer = real(spectrum, query)
+            return math.nextafter(answer, 2.0) if query.word == wrong else answer
+
+        monkeypatch.setattr(verify, "estimate_expansion", one_ulp_off)
+        code, out, err = run(
+            capsys, "bench", "--length", "4", "--samples", "30",
+            "--queries", "25", "--seed", "7",
+        )
+        assert code == 2
+        assert json.loads(out)["reports"][0]["agreement"] is False
+        assert err == "error: estimation paths disagree\n"
+
+    def test_each_method_fits_once_per_round(self, capsys, monkeypatch):
+        """One untimed round, then BENCH_REPETITIONS timed ones, whatever the cell's size."""
+        real = PmfEstimate.fit
+        fits = collections.Counter()
+
+        def counting_fit(dataset, method):
+            fits[method] += 1
+            return real(dataset, method)
+
+        monkeypatch.setattr("diracpmf.cli.PmfEstimate.fit", counting_fit)
+        code, _, _ = run(
+            capsys, "bench", "--length", "4", "--samples", "30",
+            "--queries", "25", "--seed", "7",
+        )
+        assert code == 0
+        assert fits == {method: 1 + BENCH_REPETITIONS for method in ("expansion", "dirac", "fwht")}
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -325,6 +325,16 @@ class TestSpectrum:
         spectrum = Spectrum(np.int64(1), 1, np.array([1, -1]))
         assert type(spectrum.length) is int and spectrum == Spectrum(1, 1, np.array([1, -1]))
 
+    def test_sample_size_is_an_int(self):
+        for size in (1.5, 1.0, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                Spectrum(1, size, np.array([3, -1]))
+        for size, stored in ((True, 1), (np.int64(3), 3)):
+            spectrum = Spectrum(1, size, np.array([3, -1]))
+            want = Spectrum(1, stored, np.array([3, -1]))
+            assert type(spectrum.sample_size) is int and repr(spectrum) == repr(want)
+            assert np.array_equal(spectrum.coefficients, want.coefficients)
+
 
 class TestEstimates:
     def test_single_sample_self_query(self):

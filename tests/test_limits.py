@@ -127,10 +127,13 @@ def test_pairwise_cli_checks_accept_l12_and_refuse_l13(capsys, stop_after_check,
     assert "error: CapExceeded: 2^26 terms requested, at most 2^24 allowed" in captured.err
 
 
-@PAIRWISE_CHECKS
-@pytest.mark.parametrize("length", [-1, 0])
+@pytest.mark.parametrize(
+    "argv", [["basis", "--check", "orthogonality"], ["lemma"], ["basis", "--check", "table"]],
+    ids=["orthogonality", "lemma", "table"],
+)
+@pytest.mark.parametrize("length", [-1, 0, 65])
 def test_pairwise_cli_checks_name_the_given_length(capsys, argv, length):
-    # The length is checked before it is doubled, so the message names what was typed.
+    # The length is checked before it is doubled or walked, so the message names what was typed.
     code = main([*argv, "--length", str(length)])
     captured = capsys.readouterr()
     assert code == 1

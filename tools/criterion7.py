@@ -12,9 +12,11 @@ uncommitted files take no part.
     python3 tools/criterion7.py --parent HEAD~1 --runs 30
 
 Run it from the repository root. It prints one line per run to stderr and,
-per side, the failures out of N, the median L=8 ratio, the smallest L10-L8
-gap and the smallest and median L10/L8 margin (the L=10 ratio over the L=8
-one) to stdout.
+per side, the failures out of N, the median and interquartile range of the
+L=8 ratio, the smallest L10-L8 gap and the smallest, 10th-percentile and
+median L10/L8 margin (the L=10 ratio over the L=8 one) to stdout. The
+quantiles interpolate linearly between runs (``statistics.quantiles``'s
+inclusive method).
 """
 from __future__ import annotations
 
@@ -58,15 +60,26 @@ def run_once(tree: Path) -> dict:
     return run
 
 
+def quantiles(values: list[float], n: int) -> list[float]:
+    """The n - 1 cut points of values in n groups; one value is every cut point."""
+    if len(values) == 1:
+        return values * (n - 1)
+    return statistics.quantiles(values, n=n, method="inclusive")
+
+
 def tally(runs: list[dict]) -> str:
     """The summary that CHANGES entries quote for one side."""
+    low_ratios = [run["ratios"][0] for run in runs]
     gaps = [run["ratios"][1] - run["ratios"][0] for run in runs]
     margins = [run["ratios"][1] / run["ratios"][0] for run in runs]
     failed = sum(not run["passed"] for run in runs)
-    return (f"{failed}/{len(runs)} failed; median L=8 ratio "
-            f"{statistics.median(run['ratios'][0] for run in runs):.2f}; "
+    lower, _, upper = quantiles(low_ratios, 4)
+    return (f"{failed}/{len(runs)} failed; L=8 ratio median "
+            f"{statistics.median(low_ratios):.2f}, interquartile range {upper - lower:.2f}; "
             f"smallest L10-L8 gap {min(gaps):.2f}; "
-            f"L10/L8 margin smallest {min(margins):.3f}, median {statistics.median(margins):.3f}")
+            f"L10/L8 margin smallest {min(margins):.3f}, "
+            f"10th percentile {quantiles(margins, 10)[0]:.3f}, "
+            f"median {statistics.median(margins):.3f}")
 
 
 def main() -> int:

@@ -16,12 +16,15 @@ below one result per line; the tool compares the two outputs line by line.
   on seeded vectors at each L = 1..12, at scales 1e-300, 1 and 1e300;
 * the stdout, stderr and exit code of ``spectrum``, ``basis``, ``lemma``,
   ``estimate`` and ``bench --samples 0``;
+* the exit code, stderr and report of two ``bench`` runs that time cells,
+  with every timing replaced by its key name;
 * the bytes of ``sign_bits``, of ``sign_column`` and of the row the
   expansion query multiplies, for masks 0, 1, 2^L - 1, one drawn mask and
   one negative mask at each L = 1..12;
 * what ``SignAssignment`` makes of a float, a bool and a numpy int, what
-  ``Spectrum`` makes of L = 0, N = 0 and N = -1, and the expansion answer
-  on the N = 0 spectrum: a value or the error that refuses it;
+  ``Spectrum`` makes of L = 0, N = 0, N = -1, N = 1.5, N = True and a numpy
+  int N, and the expansion answer on the N = 0 spectrum: a value or the
+  error that refuses it;
 * for each value type (BitPattern, BasisIndex, Dataset, PmfEstimate,
   SignAssignment, Spectrum): each value's repr and hash, its equality with
   every other value and with the tuple of its fields, and the repr and hash
@@ -47,6 +50,7 @@ import copy
 import hashlib
 import io
 import itertools
+import json
 import os
 import pickle
 import random
@@ -88,6 +92,8 @@ FIELDS = {
     "SignAssignment": ("values",),
     "Spectrum": ("length", "sample_size", "numerators"),
 }
+#: The bench report keys whose values are timings, which differ from run to run.
+TIMINGS = ("build_s", "per_query_s", "speedup_expansion_over_dirac")
 
 
 def digest(text: str) -> str:
@@ -176,8 +182,16 @@ def transform_lines() -> list[str]:
     return out
 
 
-def cli_lines() -> list[str]:
+def run_cli(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of diracpmf.cli.main(argv)."""
     from diracpmf.cli import main
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def cli_lines() -> list[str]:
     commands = [
         ["spectrum", "--input", "{L2}"], ["spectrum", "--input", "{L3}", "--pretty"],
         *(["basis", "--length", str(length), "--check", "orthogonality"]
@@ -199,12 +213,22 @@ def cli_lines() -> list[str]:
             files[key] = os.path.join(directory, key.strip("{}") + ".txt")
             Path(files[key]).write_text(text)
         for command in commands:
-            argv = [files.get(arg, arg) for arg in command]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main(argv)
-            out.append(f"cli {' '.join(command)}: exit {code} stderr {stderr.getvalue()!r}"
-                       f" stdout {digest(stdout.getvalue())}")
+            code, stdout, stderr = run_cli([files.get(arg, arg) for arg in command])
+            out.append(f"cli {' '.join(command)}: exit {code} stderr {stderr!r}"
+                       f" stdout {digest(stdout)}")
+    return out
+
+
+def bench_lines() -> list[str]:
+    def untimed(report: dict) -> dict:
+        return {key: key if key in TIMINGS else value for key, value in report.items()}
+
+    out = []
+    for command in (["bench", "--length", "4", "--samples", "30", "--queries", "25", "--seed", "7"],
+                    ["bench", "--length", "21", "--samples", "5", "--queries", "3"]):
+        code, stdout, stderr = run_cli(command)
+        report = json.dumps(json.loads(stdout, object_hook=untimed))
+        out.append(f"cli {' '.join(command)}: exit {code} stderr {stderr!r} report {report}")
     return out
 
 
@@ -276,8 +300,10 @@ def constructor_lines() -> list[str]:
     out = [f"sign assignment from {values!r}: {outcome(repr, SignAssignment, values)}"
            for values in ([1.0, -1], [True, -1], [np.int64(1), -1])]
     for length, size, numerators in [(0, 1, np.array([5])), (1, 0, np.zeros(2, np.int64)),
-                                     (1, -1, np.array([3, -1]))]:
-        out.append(f"spectrum L={length} N={size}:"
+                                     (1, -1, np.array([3, -1])), (1, 1.5, np.array([3, -1])),
+                                     (1, True, np.array([3, -1])),
+                                     (1, np.int64(2), np.array([3, -1]))]:
+        out.append(f"spectrum L={length} N={size!r}:"
                    f" {outcome(show, Spectrum, length, size, numerators)}")
     out.append(f"expansion on the N=0 spectrum: {outcome(repr, expansion_at_n_0)}")
     return out
@@ -309,7 +335,7 @@ def corpus(workloads_dir: str) -> None:
     """Print every result of the corpus, one per line (run in the child)."""
     for line in [*parse_lines(), *dataset_lines(workloads_dir), *path_lines(), *transform_lines(),
                  *cli_lines(), *value_lines(), *float_spectrum_lines(), *sign_lines(),
-                 *constructor_lines()]:
+                 *constructor_lines(), *bench_lines()]:
         print(line.encode("unicode_escape").decode())
 
 
